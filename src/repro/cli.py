@@ -9,13 +9,14 @@ Subcommands:
 * ``publish-many [names...]`` — batch-publish a corpus through the
   scale-out pipeline (dedup-aware ordering, aggregated accounting);
   ``--scale N`` publishes an N-VMI generated multi-family corpus;
-  ``--parallel N`` runs family-affine shards on a thread pool with
-  critical-path accounting;
+  ``--parallel N`` runs the batch as N family-affine shards, one after
+  another, with modelled critical-path accounting;
 * ``retrieve-many [names...]`` — batch-retrieve published VMIs through
   the plan-caching pipeline (base-affine ordering, per-component
   accounting); ``--cold`` serves each request through the sequential
-  cache-less assembler for comparison; ``--parallel N`` serves
-  base-affine shards concurrently under the shared read lock;
+  cache-less assembler for comparison; ``--parallel N`` serves N
+  base-affine shards, one after another, with modelled critical-path
+  accounting;
 * ``delete`` — batch-delete VMIs through the maintenance pipeline
   (``--gc-threshold-gb`` interleaves incremental GC passes scheduled
   by the reclaimable-bytes estimate);
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "publish through N family-affine shards on a thread pool "
-            "(write-lock serialized; default: sequential pipeline)"
+            "publish as N family-affine shards with modelled "
+            "critical-path accounting (default: one pipeline)"
         ),
     )
     many.add_argument(
@@ -284,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "retrieve through N base-affine shards on a thread pool "
-            "(read-lock shared; default: sequential pipeline)"
+            "retrieve as N base-affine shards with modelled "
+            "critical-path accounting (default: one pipeline)"
         ),
     )
     ret.add_argument(

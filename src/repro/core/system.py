@@ -191,9 +191,8 @@ class Expelliarmus:
 
         ``parallelism=N`` runs the batch through the sharded executor
         instead (:class:`~repro.service.parallel.ParallelPublisher`):
-        family-affine shards on N worker threads, every publish under
-        the repository's exclusive write lock, per-shard critical-path
-        accounting in the returned
+        N family-affine shards run one after another, with per-shard
+        (modelled) critical-path accounting in the returned
         :class:`~repro.service.parallel.ParallelPublishReport`.  The
         stored outcome is identical to the sequential pipeline's.
         """
@@ -238,9 +237,8 @@ class Expelliarmus:
 
         ``parallelism=N`` serves the batch through the sharded executor
         instead (:class:`~repro.service.parallel.ParallelRetriever`):
-        base-affine shards on N worker threads, every retrieval under
-        the shared read lock against the internally locked planner,
-        per-shard critical-path accounting in the returned
+        N base-affine shards run one after another, with per-shard
+        (modelled) critical-path accounting in the returned
         :class:`~repro.service.parallel.ParallelRetrieveReport`.
         """
         if parallelism is not None:

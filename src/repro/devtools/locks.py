@@ -4,8 +4,8 @@ Every ``Repository`` method that changes repository state — assigns
 ``self._*`` attributes, mutates one of their containers, or calls a
 mutating :class:`MetadataDatabase` method — must run under the write
 lock, which in this codebase means carrying the ``@_exclusive``
-decorator (DESIGN.md §12).  An undecorated mutator is a primitive a
-parallel publisher can tear.
+decorator (DESIGN.md §12).  An undecorated mutator is a primitive the
+image server's concurrent worker threads can tear.
 
 Escape hatch: ``# reprolint: unlocked`` in the method's decorator/def
 header, for helpers that are only ever called from already-locked

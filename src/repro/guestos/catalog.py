@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import DependencyError, UnknownPackageError
+from repro.model.graph import strongly_connected_components
 from repro.model.package import DependencySpec, Package
 
 __all__ = ["Catalog", "InstallPlan", "PlanStep"]
@@ -206,23 +207,42 @@ def _dependency_order(
 ) -> list[str]:
     """Reverse-topological order over the condensation of Depends.
 
-    Implemented with an iterative Tarjan SCC so dependency cycles
-    (libc6 / dpkg / perl-base) cannot blow the recursion limit and their
-    members stay consecutive in the plan.
+    The condensation's vertices are the strongly connected components,
+    so dependency cycles (libc6 / dpkg / perl-base) stay consecutive in
+    the plan, each sorted by name.  Components are ordered generation
+    by generation (Kahn), dependents first, then reversed to install
+    dependencies first.  Every step follows ``chosen`` and declaration
+    order, so one catalog always resolves to one plan.
     """
-    import networkx as nx
-
-    g = nx.DiGraph()
-    g.add_nodes_from(chosen)
-    for name, pkg in chosen.items():
-        for dep in pkg.dependency_names():
-            if dep in chosen:
-                g.add_edge(name, dep)
-    condensation = nx.condensation(g)
-    # condensation is a DAG; topological order gives dependents first,
-    # so reverse it to install dependencies first.
-    order: list[str] = []
-    for scc_id in reversed(list(nx.topological_sort(condensation))):
-        members = sorted(condensation.nodes[scc_id]["members"])
-        order.extend(members)
-    return order
+    succ = {
+        name: [d for d in dict.fromkeys(pkg.dependency_names()) if d in chosen]
+        for name, pkg in chosen.items()
+    }
+    components = strongly_connected_components(succ)
+    component_of = {
+        name: index
+        for index, members in enumerate(components)
+        for name in members
+    }
+    # condensation edges (an ordered set per component) and in-degrees
+    dag: list[dict[int, None]] = [{} for _ in components]
+    indegree = [0] * len(components)
+    for name, deps in succ.items():
+        src = component_of[name]
+        for dep in deps:
+            dst = component_of[dep]
+            if dst != src and dst not in dag[src]:
+                dag[src][dst] = None
+                indegree[dst] += 1
+    order: list[int] = []
+    generation = [c for c, degree in enumerate(indegree) if degree == 0]
+    while generation:
+        order.extend(generation)
+        following = []
+        for src in generation:
+            for dst in dag[src]:
+                indegree[dst] -= 1
+                if indegree[dst] == 0:
+                    following.append(dst)
+        generation = following
+    return [name for c in reversed(order) for name in sorted(components[c])]

@@ -16,27 +16,34 @@ Three induced subgraphs matter to the algorithms:
 * ``GI[P]`` for a single primary ``P`` — ``P`` plus its closure, used when
   master graphs are merged (Algorithm 1 line 25, Algorithm 2 line 9).
 
-The class wraps :class:`networkx.DiGraph` so callers get the full graph
-toolbox (cycle detection, reachability) while the library controls node
-identity and payloads.
+The graph is stored as two insertion-ordered dicts: package vertices
+(key -> payload and role) and successors (key -> ordered set of
+dependency keys).  Vertex, edge and successor iteration follow insertion
+order, and that order is part of the contract: it feeds manifests,
+master-graph unions and the simulated series.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from collections.abc import Collection, Iterable, Iterator, Mapping
+from typing import Any
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
 from repro.model.package import Package
 
-__all__ = ["NodeKind", "PackageRole", "SemanticGraph"]
+__all__ = [
+    "NodeKind",
+    "PackageRole",
+    "SemanticGraph",
+    "strongly_connected_components",
+]
 
 
 class NodeKind(enum.Enum):
-    """What a graph vertex represents."""
+    """What a graph vertex represents (graphs pickled in the older
+    networkx layout name it in their vertex data)."""
 
     BASE_IMAGE = "base-image"
     PACKAGE = "package"
@@ -79,8 +86,13 @@ class SemanticGraph:
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
+        #: every vertex key -> its successor keys (a dict used as an
+        #: ordered set); the key order is the graph's vertex order
+        self._succ: dict[str, dict[str, None]] = {}
+        #: package vertex key -> (payload, role), in vertex order
+        self._packages: dict[str, tuple[Package, PackageRole]] = {}
         self._base_node: str | None = None
+        self._base_attrs: BaseImageAttrs | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -98,8 +110,9 @@ class SemanticGraph:
                 f"graph already has base image {self._base_node!r}; "
                 f"cannot add {key!r}"
             )
-        self._g.add_node(key, kind=NodeKind.BASE_IMAGE, attrs=attrs)
+        self._succ.setdefault(key, {})
         self._base_node = key
+        self._base_attrs = attrs
         return key
 
     def add_package(self, pkg: Package, role: PackageRole) -> str:
@@ -110,52 +123,44 @@ class SemanticGraph:
         keeps the stronger classification.
         """
         key = _pkg_key(pkg)
-        if key in self._g:
-            existing = self._g.nodes[key]["role"]
-            if _role_rank(role) > _role_rank(existing):
-                self._g.nodes[key]["role"] = role
-        else:
-            self._g.add_node(key, kind=NodeKind.PACKAGE, package=pkg, role=role)
+        existing = self._packages.get(key)
+        if existing is None:
+            self._packages[key] = (pkg, role)
+            self._succ[key] = {}
+        elif _ROLE_RANK[role] > _ROLE_RANK[existing[1]]:
+            self._packages[key] = (existing[0], role)
         return key
 
     def add_dependency_edge(self, src_key: str, dst_key: str) -> None:
         """Record that ``src`` depends on ``dst`` (both must exist)."""
-        if src_key not in self._g or dst_key not in self._g:
+        if src_key not in self._succ or dst_key not in self._succ:
             raise GraphModelError(
                 f"dependency edge references unknown node(s): "
                 f"{src_key!r} -> {dst_key!r}"
             )
-        self._g.add_edge(src_key, dst_key)
+        self._succ[src_key][dst_key] = None
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
 
     @property
-    def nx_graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._g
-
-    @property
     def base_attrs(self) -> BaseImageAttrs | None:
         """Attributes of the base-image vertex, if present."""
-        if self._base_node is None:
-            return None
-        attrs: BaseImageAttrs = self._g.nodes[self._base_node]["attrs"]
-        return attrs
+        return self._base_attrs
 
     @property
     def base_node(self) -> str | None:
         return self._base_node
 
     def __len__(self) -> int:
-        return int(self._g.number_of_nodes())
+        return len(self._succ)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._g
+        return key in self._succ
 
     def n_edges(self) -> int:
-        return int(self._g.number_of_edges())
+        return sum(len(targets) for targets in self._succ.values())
 
     def has_package(self, name: str) -> bool:
         """Is any version of package ``name`` a vertex of this graph?"""
@@ -163,18 +168,16 @@ class SemanticGraph:
 
     def packages(self) -> Iterator[Package]:
         """All package payloads, in insertion order."""
-        for _, data in self._g.nodes(data=True):
-            if data["kind"] is NodeKind.PACKAGE:
-                yield data["package"]
+        for pkg, _ in self._packages.values():
+            yield pkg
 
     def package_nodes(self) -> Iterator[tuple[str, Package, PackageRole]]:
         """(key, package, role) triples for every package vertex."""
-        for key, data in self._g.nodes(data=True):
-            if data["kind"] is NodeKind.PACKAGE:
-                yield key, data["package"], data["role"]
+        for key, (pkg, role) in self._packages.items():
+            yield key, pkg, role
 
     def packages_with_role(self, role: PackageRole) -> list[Package]:
-        return [p for _, p, r in self.package_nodes() if r is role]
+        return [p for p, r in self._packages.values() if r is role]
 
     def primary_packages(self) -> list[Package]:
         """The primary package set ``PS`` as payloads."""
@@ -196,7 +199,12 @@ class SemanticGraph:
 
     def has_cycle(self) -> bool:
         """Does the dependency relation contain a cycle (Figure 1a)?"""
-        return not nx.is_directed_acyclic_graph(self._g)
+        return any(
+            key in targets for key, targets in self._succ.items()
+        ) or any(
+            len(members) > 1
+            for members in strongly_connected_components(self._succ)
+        )
 
     # ------------------------------------------------------------------
     # induced subgraphs (Section III-B / IV-C)
@@ -210,13 +218,13 @@ class SemanticGraph:
         dependency target.
         """
         seen: set[str] = set()
-        stack = [r for r in roots if r in self._g]
+        stack = [r for r in roots if r in self._succ]
         while stack:
             node = stack.pop()
             if node in seen or node == self._base_node:
                 continue
             seen.add(node)
-            stack.extend(self._g.successors(node))
+            stack.extend(self._succ[node])
         return seen
 
     def extract_primary_subgraph(self) -> "SemanticGraph":
@@ -267,26 +275,20 @@ class SemanticGraph:
 
     def _induced(self, nodes: set[str], *, with_base: bool) -> "SemanticGraph":
         sub = SemanticGraph()
-        if with_base and self._base_node is not None:
-            sub.add_base_image(self._g.nodes[self._base_node]["attrs"])
-        keep = set(nodes)
-        if with_base and self._base_node is not None:
-            keep.add(self._base_node)
+        if with_base and self._base_attrs is not None:
+            sub.add_base_image(self._base_attrs)
         for key in nodes:
-            data = self._g.nodes[key]
-            if data["kind"] is NodeKind.PACKAGE:
-                sub.add_package(data["package"], data["role"])
-        # walk only the kept nodes' incident edges instead of every edge
-        # of the host graph: extraction from a large master graph is
+            entry = self._packages.get(key)
+            if entry is not None:
+                sub.add_package(*entry)
+        # walk only the kept nodes' out-edges instead of every edge of
+        # the host graph: extraction from a large master graph is
         # O(edges touching the closure), not O(all master edges)
-        adj = self._g.adj
-        sub_g = sub._g
-        for u in keep:
-            if u not in sub_g:
-                continue
-            for v in adj[u]:
-                if v in keep and v in sub_g:
-                    sub_g.add_edge(u, v)
+        kept = sub._succ
+        for src, targets in kept.items():
+            targets.update(
+                (dst, None) for dst in self._succ[src] if dst in kept
+            )
         return sub
 
     # ------------------------------------------------------------------
@@ -310,33 +312,121 @@ class SemanticGraph:
                 "cannot union graphs with different base images: "
                 f"{self._base_node!r} vs {other._base_node!r}"
             )
-        if other._base_node is not None and self._base_node is None:
-            self.add_base_image(other._g.nodes[other._base_node]["attrs"])
-        for _key, data in other._g.nodes(data=True):
-            if data["kind"] is NodeKind.PACKAGE:
-                self.add_package(data["package"], data["role"])
-        for u, v in other._g.edges():
-            if u in self._g and v in self._g:
-                self._g.add_edge(u, v)
+        if other._base_attrs is not None and self._base_node is None:
+            self.add_base_image(other._base_attrs)
+        for pkg, role in other._packages.values():
+            self.add_package(pkg, role)
+        succ = self._succ
+        for src, targets in other._succ.items():
+            if src in succ:
+                succ[src].update(
+                    (dst, None) for dst in targets if dst in succ
+                )
 
     def copy(self) -> "SemanticGraph":
         """Deep-enough copy (payloads are immutable)."""
         dup = SemanticGraph()
-        dup._g = self._g.copy()
+        dup._succ = {key: dict(targets) for key, targets in self._succ.items()}
+        dup._packages = dict(self._packages)
         dup._base_node = self._base_node
+        dup._base_attrs = self._base_attrs
         return dup
 
+    # ------------------------------------------------------------------
+    # persistence (workspace snapshots and op-log records pickle graphs)
+    # ------------------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Builtin containers only, so on-disk state names no
+        third-party class: the successor dict (vertex order and edges),
+        the package vertices and the base vertex."""
+        return {
+            "succ": self._succ,
+            "packages": self._packages,
+            "base": (self._base_node, self._base_attrs),
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`__getstate__`'s layout, or the older one that
+        pickled a ``networkx.DiGraph`` as ``_g``, read through its
+        ``_node`` and ``_succ`` dicts only (so that
+        :class:`~repro.repository.persistence.StateUnpickler` can load
+        it without networkx)."""
+        if "_g" not in state:
+            self._succ, self._packages = state["succ"], state["packages"]
+            self._base_node, self._base_attrs = state["base"]
+            return
+        nodes, succ = state["_g"]._node, state["_g"]._succ
+        self._succ = {key: dict.fromkeys(succ[key]) for key in nodes}
+        self._packages = {
+            key: (data["package"], data["role"])
+            for key, data in nodes.items()
+            if "package" in data
+        }
+        base = self._base_node = state["_base_node"]
+        self._base_attrs = None if base is None else nodes[base]["attrs"]
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        n_pkg = sum(1 for _ in self.packages())
         return (
-            f"<SemanticGraph base={self.base_attrs} packages={n_pkg} "
-            f"edges={self.n_edges()}>"
+            f"<SemanticGraph base={self.base_attrs} "
+            f"packages={len(self._packages)} edges={self.n_edges()}>"
         )
 
 
-def _role_rank(role: PackageRole) -> int:
-    return {
-        PackageRole.DEPENDENCY: 0,
-        PackageRole.BASE_MEMBER: 1,
-        PackageRole.PRIMARY: 2,
-    }[role]
+def strongly_connected_components(
+    succ: Mapping[str, Collection[str]],
+) -> list[set[str]]:
+    """Strongly connected components, in the order they complete.
+
+    Iterative Tarjan in Nuutila's variant (only non-root vertices wait
+    on the pending stack), so deep dependency chains cannot blow the
+    recursion limit.  Sources are tried in ``succ`` order and each
+    vertex's successors in their own order, so the result is
+    deterministic.
+    """
+    preorder: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    found: set[str] = set()
+    pending: list[str] = []
+    components: list[set[str]] = []
+    unexplored = {v: iter(targets) for v, targets in succ.items()}
+    for source in succ:
+        if source in found:
+            continue
+        path = [source]
+        while path:
+            v = path[-1]
+            if v not in preorder:
+                preorder[v] = len(preorder) + 1
+            for w in unexplored[v]:
+                if w not in preorder:
+                    path.append(w)
+                    break
+            else:
+                path.pop()
+                low = preorder[v]
+                for w in succ[v]:
+                    if w not in found:
+                        low = min(
+                            low,
+                            lowlink[w] if preorder[w] > preorder[v]
+                            else preorder[w],
+                        )
+                lowlink[v] = low
+                if low != preorder[v]:
+                    pending.append(v)
+                    continue
+                members = {v}
+                while pending and preorder[pending[-1]] > preorder[v]:
+                    members.add(pending.pop())
+                found.update(members)
+                components.append(members)
+    return components
+
+
+#: role precedence for :meth:`SemanticGraph.add_package`
+_ROLE_RANK = {
+    PackageRole.DEPENDENCY: 0,
+    PackageRole.BASE_MEMBER: 1,
+    PackageRole.PRIMARY: 2,
+}

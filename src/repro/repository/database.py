@@ -3,8 +3,9 @@
 The paper keeps VMI metadata in SQLite (Section VI-A).  The schema below
 mirrors Figure 2's "VMI DATABASE" boxes — base images, VMIs and software
 packages — plus the join table mapping a published VMI to its primary
-packages.  The semantic graphs themselves live in memory (networkx); the
-database is the durable index the algorithms query by name.
+packages.  The semantic graphs themselves live in memory
+(:class:`~repro.model.graph.SemanticGraph`); the database is the durable
+index the algorithms query by name.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class MetadataDatabase:
     """Thin typed layer over the SQLite schema above."""
 
     def __init__(self, path: str = ":memory:") -> None:
-        # check_same_thread=False: the parallel service executors reach
-        # this connection from pool threads, always serialized by the
+        # check_same_thread=False: the image server's worker threads
+        # reach this connection, always serialized by the
         # repository lock (writes exclusive, reads against a quiescent
         # writer side) — the cross-thread handoff SQLite's default
         # check exists to catch cannot interleave statements here
@@ -99,9 +100,9 @@ class MetadataDatabase:
         self._seq = 0
         #: open :meth:`batch` scopes; while > 0, per-statement commits
         #: are deferred to the outermost scope exit.  Guarded by its own
-        #: mutex because concurrent publish shards may nest batches from
-        #: several pool threads (statements themselves stay serialized
-        #: by the repository lock).
+        #: mutex because the image server's worker threads may nest
+        #: batches (statements themselves stay serialized by the
+        #: repository lock).
         self._batch_depth = 0
         self._batch_mutex = threading.Lock()
 

@@ -12,7 +12,7 @@ outcome byte-identical to a single repository:
   families onto shards (rendezvous hashing over
   :func:`~repro.ids.content_id`), the same never-split-a-family
   affinity contract :func:`~repro.service.parallel.plan_shards` gives
-  thread shards.  Because every one of a family's publishes lands on
+  a sharded batch.  Because every one of a family's publishes lands on
   the one shard holding that family's bases, per-shard Algorithm 2
   sees exactly the candidate set a single repository would — so base
   evolution, dedup decisions and retrieval manifests match the
@@ -40,16 +40,18 @@ outcome byte-identical to a single repository:
 The facade mirrors the :class:`Expelliarmus` surface (publish /
 retrieve / delete, the ``*_many`` batch pipelines, GC, fsck, save /
 close), so the CLI and the image server front a federation unchanged.
-All shard systems share one :class:`~repro.sim.clock.SimulatedClock`;
-batch reports carry per-shard :class:`~repro.service.parallel.
-ShardAccount` rows, so critical-path speedup vs shard count is read
-off the same overlap accounting the thread-parallel pipeline uses.
+All shard systems share one :class:`~repro.sim.clock.SimulatedClock`.
+The ``*_many`` pipelines run the shards one after another through
+:func:`~repro.service.parallel.run_shards`, and their reports carry
+per-shard :class:`~repro.service.parallel.ShardAccount` rows, so the
+critical-path speedup vs shard count is read off the same overlap
+model the sharded single-repository pipeline uses.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -74,9 +76,7 @@ from repro.service.rebase import RebaseReport
 from repro.service.parallel import (
     ParallelPublishReport,
     ParallelRetrieveReport,
-    ShardAccount,
-    _ProgressTracker,
-    _run_sharded,
+    run_shards,
 )
 from repro.service.retrieval import RetrieveItemResult
 from repro.service.tenancy import validate_stored_name
@@ -212,13 +212,15 @@ class _FederationWorkspace:
         )
 
 
-def _merge_stats(deltas):
-    """Sum per-shard stats deltas field-wise (SelectionStats etc.)."""
-    first = deltas[0]
-    return type(first)(
+def _merge_stats(deltas, empty):
+    """Sum per-shard stats deltas field-wise (SelectionStats etc.);
+    ``empty`` when no shard ran."""
+    if not deltas:
+        return empty
+    return type(empty)(
         **{
             f.name: sum(getattr(d, f.name) for d in deltas)
-            for f in fields(first)
+            for f in fields(empty)
         }
     )
 
@@ -483,7 +485,7 @@ class FederatedRepository:
             del self._names[name]
 
     # ------------------------------------------------------------------
-    # batch pipelines (one worker per shard)
+    # batch pipelines (shard by shard)
     # ------------------------------------------------------------------
 
     def publish_many(
@@ -495,7 +497,7 @@ class FederatedRepository:
         on_error: str = "continue",
         parallelism: int | None = None,
     ) -> ParallelPublishReport:
-        """Batch-publish across the shards, one worker thread each.
+        """Batch-publish across the shards, one shard after another.
 
         Same contract as :meth:`Expelliarmus.publish_many`; the
         federation's parallelism *is* its shard count, so
@@ -510,12 +512,6 @@ class FederatedRepository:
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
         items = list(enumerate(vmis))
-        tracker = _ProgressTracker(progress, len(items))
-        adapter = (
-            None
-            if progress is None
-            else (lambda done, total, item: tracker.step(item))
-        )
         with self.lock.write():
             bytes_before = self.total_bytes()
             pre_failures: list[BatchItemResult] = []
@@ -546,7 +542,8 @@ class FederatedRepository:
                         position=pos, name=vmi.name, error=str(exc)
                     )
                     pre_failures.append(failure)
-                    tracker.step(failure)
+                    if progress is not None:
+                        progress(len(pre_failures), len(items), failure)
                     continue
                 batch_shard.setdefault(vmi.name, shard)
                 vmi_family[pos] = family
@@ -554,35 +551,16 @@ class FederatedRepository:
                 # steer the rest of this batch's family members here
                 self._family_home.setdefault(family, shard)
 
-            def run_shard(index: int, shard_items: list):
-                if not shard_items:
-                    return [], ShardAccount(index, 0, 0, 0.0), None
-                report = self.systems[index].publish_many(
-                    [vmi for _, vmi in shard_items],
-                    order=order,
-                    progress=adapter,
-                    on_error=on_error,
-                )
-                positions = [pos for pos, _ in shard_items]
-                results = [
-                    replace(r, position=positions[r.position])
-                    for r in report.results
-                ]
-                account = ShardAccount(
-                    shard=index,
-                    n_items=len(shard_items),
-                    n_failed=report.n_failed,
-                    simulated_seconds=report.simulated_seconds,
-                )
-                return results, account, report
-
-            outcomes = _run_sharded(per_shard, run_shard, self.n_shards)
-            results = sorted(
-                pre_failures
-                + [r for shard_results, _, _ in outcomes
-                   for r in shard_results],
-                key=lambda item: item.position,
+            run = run_shards(
+                per_shard,
+                lambda index, batch, relay: self.systems[index].publish_many(
+                    batch, order=order, progress=relay, on_error=on_error
+                ),
+                progress=progress,
+                total=len(items),
+                done=len(pre_failures),
             )
+            results = run.merged(pre_failures)
             for item in results:
                 if item.report is not None:
                     shard = batch_shard[item.name]
@@ -590,20 +568,16 @@ class FederatedRepository:
                     self._family_home.setdefault(
                         vmi_family[item.position], shard
                     )
-            deltas = [
-                report.selection_stats
-                for _, _, report in outcomes
-                if report is not None
-            ]
             stats = self.systems[0].publisher.selection_memo.stats
             return ParallelPublishReport(
-                results=tuple(results),
+                results=results,
                 repo_bytes_before=bytes_before,
                 repo_bytes_after=self.total_bytes(),
-                selection_stats=(
-                    _merge_stats(deltas) if deltas else stats.since(stats)
+                selection_stats=_merge_stats(
+                    [r.selection_stats for r in run.reports if r],
+                    stats.since(stats),
                 ),
-                shards=tuple(account for _, account, _ in outcomes),
+                shards=run.accounts(),
             )
 
     def retrieve_many(
@@ -615,7 +589,7 @@ class FederatedRepository:
         on_error: str = "continue",
         parallelism: int | None = None,
     ) -> ParallelRetrieveReport:
-        """Batch-retrieve across the shards, one worker thread each.
+        """Batch-retrieve across the shards, one shard after another.
 
         Same contract as :meth:`Expelliarmus.retrieve_many`
         (``parallelism`` accepted and ignored — the shard count is the
@@ -627,71 +601,32 @@ class FederatedRepository:
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
         requests = list(requests)
-        tracker = _ProgressTracker(progress, len(requests))
-        adapter = (
-            None
-            if progress is None
-            else (lambda done, total, item: tracker.step(item))
-        )
         with self.lock.read():
-            unresolved: list[RetrieveItemResult] = []
-            per_shard: list[list] = [[] for _ in range(self.n_shards)]
-            for pos, item in enumerate(requests):
-                name = item if isinstance(item, str) else item.name
-                shard = self._names.get(name)
-                if shard is None:
-                    exc = NotInRepositoryError("VMI", name)
-                    if on_error == "raise":
-                        raise exc
-                    failure = RetrieveItemResult(
-                        position=pos, name=name, error=str(exc)
-                    )
-                    unresolved.append(failure)
-                    tracker.step(failure)
-                    continue
-                per_shard[shard].append((pos, item))
-
-            def run_shard(index: int, shard_items: list):
-                if not shard_items:
-                    return [], ShardAccount(index, 0, 0, 0.0), None
-                report = self.systems[index].retrieve_many(
-                    [item for _, item in shard_items],
-                    order=order,
-                    progress=adapter,
-                    on_error=on_error,
-                )
-                positions = [pos for pos, _ in shard_items]
-                results = [
-                    replace(r, position=positions[r.position])
-                    for r in report.results
-                ]
-                account = ShardAccount(
-                    shard=index,
-                    n_items=len(shard_items),
-                    n_failed=report.n_failed,
-                    simulated_seconds=report.simulated_seconds,
-                )
-                return results, account, report
-
-            outcomes = _run_sharded(per_shard, run_shard, self.n_shards)
-            results = sorted(
-                unresolved
-                + [r for shard_results, _, _ in outcomes
-                   for r in shard_results],
-                key=lambda item: item.position,
+            unresolved, per_shard = self._route_names(
+                requests,
+                RetrieveItemResult,
+                progress=progress,
+                on_error=on_error,
             )
-            deltas = [
-                report.planner_stats
-                for _, _, report in outcomes
-                if report is not None
-            ]
+            run = run_shards(
+                per_shard,
+                lambda index, batch, relay: self.systems[
+                    index
+                ].retrieve_many(
+                    batch, order=order, progress=relay, on_error=on_error
+                ),
+                progress=progress,
+                total=len(requests),
+                done=len(unresolved),
+            )
             stats = self.systems[0].planner.stats
             return ParallelRetrieveReport(
-                results=tuple(results),
-                planner_stats=(
-                    _merge_stats(deltas) if deltas else stats.since(stats)
+                results=run.merged(unresolved),
+                planner_stats=_merge_stats(
+                    [r.planner_stats for r in run.reports if r],
+                    stats.since(stats),
                 ),
-                shards=tuple(account for _, account, _ in outcomes),
+                shards=run.accounts(),
             )
 
     def delete_many(
@@ -703,7 +638,7 @@ class FederatedRepository:
         gc_threshold_bytes: int | None = None,
         checkpoint_every_ops: int | None = None,
     ) -> MaintenanceReport:
-        """Batch-delete across the shards, one worker thread each.
+        """Batch-delete across the shards, one shard after another.
 
         Same contract as :meth:`Expelliarmus.delete_many`; GC
         thresholds and checkpoint policies apply per shard (each shard
@@ -712,60 +647,34 @@ class FederatedRepository:
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
         names = list(names)
-        tracker = _ProgressTracker(progress, len(names))
-        adapter = (
-            None
-            if progress is None
-            else (lambda done, total, item: tracker.step(item))
-        )
         with self.lock.write():
             bytes_before = self.total_bytes()
-            unresolved: list[DeleteItemResult] = []
-            per_shard: list[list] = [[] for _ in range(self.n_shards)]
-            for pos, name in enumerate(names):
-                shard = self._names.get(name)
-                if shard is None:
-                    exc = NotInRepositoryError("VMI", name)
-                    if on_error == "raise":
-                        raise exc
-                    failure = DeleteItemResult(
-                        position=pos, name=name, error=str(exc)
-                    )
-                    unresolved.append(failure)
-                    tracker.step(failure)
-                    continue
-                per_shard[shard].append((pos, name))
-
-            def run_shard(index: int, shard_items: list):
-                if not shard_items:
-                    return [], None
-                report = self.systems[index].delete_many(
-                    [name for _, name in shard_items],
-                    progress=adapter,
+            unresolved, per_shard = self._route_names(
+                names,
+                DeleteItemResult,
+                progress=progress,
+                on_error=on_error,
+            )
+            run = run_shards(
+                per_shard,
+                lambda index, batch, relay: self.systems[index].delete_many(
+                    batch,
+                    progress=relay,
                     on_error=on_error,
                     gc_threshold_bytes=gc_threshold_bytes,
                     checkpoint_every_ops=checkpoint_every_ops,
-                )
-                positions = [pos for pos, _ in shard_items]
-                results = [
-                    replace(r, position=positions[r.position])
-                    for r in report.results
-                ]
-                return results, report
-
-            outcomes = _run_sharded(per_shard, run_shard, self.n_shards)
-            results = sorted(
-                unresolved
-                + [r for shard_results, _ in outcomes
-                   for r in shard_results],
-                key=lambda item: item.position,
+                ),
+                progress=progress,
+                total=len(names),
+                done=len(unresolved),
             )
+            results = run.merged(unresolved)
             for item in results:
                 if item.ok:
                     self._names.pop(item.name, None)
-            reports = [r for _, r in outcomes if r is not None]
+            reports = [r for r in run.reports if r is not None]
             return MaintenanceReport(
-                results=tuple(results),
+                results=results,
                 gc_reports=tuple(
                     gc for r in reports for gc in r.gc_reports
                 ),
@@ -777,6 +686,29 @@ class FederatedRepository:
                 ),
                 checkpoints=sum(r.checkpoints for r in reports),
             )
+
+    def _route_names(self, items, failure_type, *, progress, on_error):
+        """Split names (or objects with a ``.name``) onto their shards:
+        returns the unknown names' failure results, already reported to
+        ``progress``, and one ``(position, item)`` list per shard."""
+        unresolved: list = []
+        per_shard: list[list] = [[] for _ in range(self.n_shards)]
+        for pos, item in enumerate(items):
+            name = item if isinstance(item, str) else item.name
+            shard = self._names.get(name)
+            if shard is None:
+                exc = NotInRepositoryError("VMI", name)
+                if on_error == "raise":
+                    raise exc
+                failure = failure_type(
+                    position=pos, name=name, error=str(exc)
+                )
+                unresolved.append(failure)
+                if progress is not None:
+                    progress(len(unresolved), len(items), failure)
+                continue
+            per_shard[shard].append((pos, item))
+        return unresolved, per_shard
 
     # ------------------------------------------------------------------
     # maintenance: GC, fsck, rebalance

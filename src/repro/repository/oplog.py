@@ -26,6 +26,10 @@ at least the state the repository reached.  A crash mid-append leaves a
 last complete record and report the torn bytes; reopening for append
 truncates them, which is exactly the classic WAL recovery contract:
 an operation whose journal record never became durable never happened.
+Only ``EOFError`` and ``UnpicklingError`` — all that truncating a
+record raises — mark a torn tail.  Any other decoding failure, such as
+a record naming a module or class this install lacks, fails the read
+with :class:`~repro.errors.WorkspaceError` and nothing is truncated.
 
 Like snapshots, the log is pickle-based and must only be read from
 trusted sources (it is produced and consumed by the same application).
@@ -41,6 +45,7 @@ from pathlib import Path
 
 from repro.errors import WorkspaceError
 from repro.repository.master_graphs import master_from_state
+from repro.repository.persistence import StateUnpickler
 from repro.repository.repo import Repository
 
 __all__ = ["OpLog", "OpLogRecord", "ReplayReport", "replay_ops"]
@@ -203,7 +208,8 @@ class OpLog:
         """Scan a log: header + complete records + torn-tail size.
 
         Raises:
-            WorkspaceError: unreadable or version-mismatched header.
+            WorkspaceError: unreadable or version-mismatched header, or
+                a record that fails to decode other than by truncation.
             FileNotFoundError: missing log file.
         """
         with open(path, "rb") as file:
@@ -213,13 +219,18 @@ class OpLog:
             file_size = os.fstat(file.fileno()).st_size
             while True:
                 try:
-                    op, args = pickle.load(file)
-                except EOFError:
+                    op, args = StateUnpickler(file).load()
+                except (EOFError, pickle.UnpicklingError):
+                    # clean end, or a torn tail: a crash interrupted the
+                    # last append — everything before it is replayable
                     break
-                except Exception:
-                    # torn tail: a crash interrupted the last append —
-                    # everything before it is intact and replayable
-                    break
+                except Exception as exc:
+                    # not a truncation (e.g. a record naming a missing
+                    # class): truncating would silently drop later ops
+                    raise WorkspaceError(
+                        f"op-log {path}: record at byte {good_end} "
+                        f"cannot be decoded: {exc}"
+                    ) from exc
                 ops.append(OpLogRecord(op=op, args=tuple(args)))
                 good_end = file.tell()
         return ReplayReport(

@@ -27,12 +27,18 @@ appropriate here because snapshots are produced and consumed by the
 same trusted application (never load snapshots from untrusted sources);
 the SQLite metadata is regenerated on load rather than serialised, so a
 snapshot cannot desynchronise the two views.
+
+Older snapshots and op-log records pickled each graph as a
+``networkx.DiGraph``; :class:`StateUnpickler` reads them without
+networkx, and the next checkpoint rewrites them in the current layout.
 """
 
 from __future__ import annotations
 
 import pickle
+import types
 from pathlib import Path
+from typing import Any
 
 from repro.repository.master_graphs import master_from_state, master_state
 from repro.repository.repo import Repository
@@ -42,12 +48,24 @@ __all__ = [
     "load_repository",
     "restore_into",
     "repository_state",
+    "StateUnpickler",
 ]
 
 _FORMAT_VERSION = 2
 #: versions load_repository still understands (v1: no revisions, no
 #: mutation counter — restored masters start at revision 0)
 _READABLE_VERSIONS = (1, 2)
+
+
+class StateUnpickler(pickle.Unpickler):
+    """Reads snapshots and op-log records without needing networkx: a
+    networkx class (the older graph layout) loads as a namespace that
+    pickle's default restore fills with the instance's attributes."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module.split(".")[0] == "networkx":
+            return types.SimpleNamespace
+        return super().find_class(module, name)
 
 
 def repository_state(repo: Repository) -> dict:
@@ -119,5 +137,5 @@ def load_repository(path: str | Path) -> Repository:
         ValueError: unknown snapshot format version.
         FileNotFoundError: missing snapshot file.
     """
-    state = pickle.loads(Path(path).read_bytes())
-    return restore_into(Repository(), state)
+    with open(path, "rb") as file:
+        return restore_into(Repository(), StateUnpickler(file).load())

@@ -48,7 +48,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.errors import WorkspaceError, WorkspaceLockedError
 from repro.repository.oplog import OpLog, replay_ops
-from repro.repository.persistence import repository_state, restore_into
+from repro.repository.persistence import (
+    StateUnpickler,
+    repository_state,
+    restore_into,
+)
 from repro.repository.repo import Repository
 
 __all__ = ["Workspace"]
@@ -212,7 +216,8 @@ class Workspace:
         """The snapshot-restore + replay body; lock already held."""
         repo = Repository()
         if self.snapshot_path.exists():
-            state = pickle.loads(self.snapshot_path.read_bytes())
+            with open(self.snapshot_path, "rb") as file:
+                state = StateUnpickler(file).load()
             try:
                 restore_into(repo, state)
             except ValueError as exc:

@@ -37,13 +37,13 @@ read-heavy traffic:
   cost accounting: the Figure-5a component stack for the batch plus
   the planner's plan-cache and base-cache work counters.
 
-:mod:`repro.service.parallel` runs both pipelines *concurrently*:
+:mod:`repro.service.parallel` runs both pipelines *sharded*:
 :class:`~repro.service.parallel.ParallelPublisher` and
-:class:`~repro.service.parallel.ParallelRetriever` shard a batch by
-base/family affinity (:func:`~repro.service.parallel.plan_shards`) onto
-a thread pool — publishes under the repository's exclusive write lock,
-retrievals under the shared read lock — and report critical-path
-(overlapped) simulated time per shard on top of the sequential reports.
+:class:`~repro.service.parallel.ParallelRetriever` split a batch by
+base/family affinity (:func:`~repro.service.parallel.plan_shards`), run
+the shards one after another through the pipelines above, and report
+the modelled critical-path (overlapped) simulated time per shard on top
+of the sequential reports.
 
 :mod:`repro.service.maintenance` closes the lifecycle — the deletion
 and reclamation half an operator runs against a churning repository:

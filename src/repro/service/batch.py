@@ -75,8 +75,10 @@ def _dedup_key(vmi: VirtualMachineImage) -> tuple:
 
 @dataclass(frozen=True)
 class BatchItemResult:
-    """Outcome of one batch position: a report or a recorded failure."""
+    """Outcome of one batch item: a report or a recorded failure."""
 
+    #: index of this upload in the caller's sequence (not the
+    #: execution position — the batch may have been reordered)
     position: int
     name: str
     report: PublishReport | None = None
@@ -210,9 +212,11 @@ class BatchPublisher:
             raise ValueError(f"unknown batch order {order!r}")
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
-        batch = (
-            dedup_aware_order(vmis) if order == "dedup" else list(vmis)
-        )
+        batch = list(enumerate(vmis))
+        if order == "dedup":
+            # the dedup_aware_order key; the stable sort keeps equal-key
+            # uploads in their given (position) order
+            batch.sort(key=lambda pv: _dedup_key(pv[1]))
 
         repo = self.publisher.repo
         bytes_before = repo.total_bytes()
@@ -222,7 +226,7 @@ class BatchPublisher:
         # one SQLite commit for the whole pipeline instead of one per
         # inserted row; recovery durability lives in the op-log
         with repo.metadata_batch():
-            for position, vmi in enumerate(batch):
+            for position, vmi in batch:
                 try:
                     report = self.publisher.publish(vmi)
                 except ReproError as exc:

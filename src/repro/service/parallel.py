@@ -1,60 +1,38 @@
-"""Parallel service execution: sharded batch pipelines (DESIGN.md §12).
+"""Sharded batch execution and its overlap model (DESIGN.md §12).
 
-The batch pipelines (:mod:`repro.service.batch`,
-:mod:`repro.service.retrieval`) drive one repository strictly
-sequentially.  This module runs the same work on a
-:class:`~concurrent.futures.ThreadPoolExecutor`, sharded by
-*base/family affinity*:
+:func:`plan_shards` splits a batch into *base/family-affine* shards: it
+groups items by an affinity key (the base-attribute quadruple for
+publishes, the stored base blob for retrievals) and packs whole groups
+onto the least-loaded shard, so shards touch disjoint master graphs,
+warm-base copies and plan-cache keys.
 
-* **Sharding.**  :func:`plan_shards` groups a batch by an affinity key
-  (the base-attribute quadruple for publishes, the stored base blob for
-  retrievals) and packs whole groups onto the least-loaded shard.  Every
-  item lands on exactly one shard, and items sharing a base never split
-  across shards — so shards touch disjoint master graphs, warm-base
-  copies and plan-cache keys, and rarely contend on anything but the
-  repository lock itself.
-* **Correctness.**  Each publish/delete runs under the repository's
-  exclusive write lock (the whole operation, journal appends included),
-  each retrieval under the shared read lock.  Parallel execution is
-  therefore a *reordering* of the sequential schedule, and the
-  differential suite (``tests/property/test_parallel_props.py``) pins
-  down that the reordering is invisible: byte-identical retrieval
-  manifests, identical refcounts and post-GC state, clean fsck.
-* **Accounting.**  The simulated clock counts *work*; wall-clock
-  overlap is modelled per shard.  Each shard's simulated seconds are
-  the sum of its items' charged time, and the batch's
-  ``critical_path_seconds`` is the *maximum* over shards — the
-  simulated elapsed time of the overlapped schedule, against the
-  summed ``simulated_seconds`` a sequential run would take.  Per-item
-  breakdowns stay exact because the clock's measurement windows are
-  thread-local.
+:func:`run_shards` runs the shards one after another, each through the
+ordinary batch pipeline (:mod:`repro.service.batch`,
+:mod:`repro.service.retrieval`).  Every publish serialises on the
+repository write lock, so worker threads would buy no wall time.
+Sharded execution is a reordering of the sequential schedule, and
+``tests/property/test_parallel_props.py`` pins that it is invisible.
 
-:class:`ParallelPublishReport` / :class:`ParallelRetrieveReport` extend
-the sequential batch reports with the per-shard accounts, so everything
-the operator tooling already reads (totals, failures, dedup and planner
-counters) keeps working unchanged.
+Overlap is a *model* result.  A shard's simulated seconds are the sum of
+its items' charges, and ``critical_path_seconds`` is the maximum over
+shards: the simulated elapsed time of running the shards side by side.
+:class:`ParallelPublishReport` / :class:`ParallelRetrieveReport` add
+these per-shard accounts to the sequential batch reports.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence, TypeVar
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Hashable, Sequence, TypeVar
 
 from repro.core.assembly_plan import AssemblyPlanner, RetrievalRequest
 from repro.core.publisher import VMIPublisher
-from repro.errors import ReproError
 from repro.model.vmi import VirtualMachineImage
-from repro.service.batch import (
-    BatchItemResult,
-    BatchPublishReport,
-    _dedup_key,
-)
+from repro.service.batch import BatchPublisher, BatchPublishReport
 from repro.service.retrieval import (
     BatchRetrieveReport,
-    RetrieveItemResult,
-    _affine_key,
+    BatchRetriever,
+    resolve_requests,
 )
 
 __all__ = [
@@ -63,7 +41,9 @@ __all__ = [
     "ParallelRetriever",
     "ParallelRetrieveReport",
     "ShardAccount",
+    "ShardedRun",
     "plan_shards",
+    "run_shards",
 ]
 
 T = TypeVar("T")
@@ -130,13 +110,12 @@ class ShardAccount:
 
 @dataclass(frozen=True)
 class _OverlapAccounting:
-    """Per-shard overlap accounting shared by both parallel reports.
+    """Per-shard overlap accounting shared by both sharded reports.
 
     Mixed in ahead of a batch report (which supplies
     ``simulated_seconds`` — the summed work — and the base
     ``render``); ``results`` on the combined report are ordered by the
-    caller's positions, since parallel execution order is
-    scheduling-dependent and deliberately not exposed.
+    caller's positions.
     """
 
     shards: tuple[ShardAccount, ...] = ()
@@ -148,7 +127,7 @@ class _OverlapAccounting:
     @property
     def critical_path_seconds(self) -> float:
         """Simulated elapsed time of the overlapped schedule (the
-        slowest shard's span — what a wall clock would have seen)."""
+        slowest shard's span) — a model result, not a wall clock."""
         return max(
             (s.simulated_seconds for s in self.shards), default=0.0
         )
@@ -176,7 +155,93 @@ class _OverlapAccounting:
 
 
 # ---------------------------------------------------------------------------
-# parallel publishing
+# sharded execution: plan -> execute -> merge
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ShardedRun:
+    """Every shard's batch report, and all results at caller positions."""
+
+    #: one batch report per shard; None where the shard was empty
+    reports: tuple[Any, ...]
+    #: every shard's item results, remapped to caller positions
+    results: tuple[Any, ...]
+
+    def accounts(self) -> tuple[ShardAccount, ...]:
+        """One :class:`ShardAccount` per shard, read off its report."""
+        return tuple(
+            ShardAccount(index, 0, 0, 0.0)
+            if r is None
+            else ShardAccount(index, r.n_items, r.n_failed, r.simulated_seconds)
+            for index, r in enumerate(self.reports)
+        )
+
+    def merged(self, earlier: Sequence[Any] = ()) -> tuple[Any, ...]:
+        """``earlier`` results (failures recorded while planning) plus
+        every shard's results, in caller order."""
+        return tuple(
+            sorted([*earlier, *self.results], key=lambda r: r.position)
+        )
+
+
+def run_shards(
+    shards: Sequence[Sequence[tuple[int, Any]]],
+    run: Callable[[int, list, Any], Any],
+    *,
+    progress=None,
+    total: int = 0,
+    done: int = 0,
+) -> ShardedRun:
+    """Run planned shards one after another, in shard order.
+
+    Each shard holds ``(caller position, item)`` pairs.
+    ``run(index, items, progress)`` executes one non-empty shard through
+    a batch pipeline and returns that pipeline's report, whose
+    ``results`` carry positions into ``items``; empty shards are not
+    run.  ``progress`` (the pipelines' ``(done, total, item)``
+    callback) sees one batch-wide done count — continuing from the
+    ``done`` items the caller already reported out of ``total`` — and
+    items at their caller positions.
+    """
+    reports = []
+    results = []
+    for index, shard in enumerate(shards):
+        if not shard:
+            reports.append(None)
+            continue
+        positions = [pos for pos, _ in shard]
+        report = run(
+            index,
+            [item for _, item in shard],
+            _relay(progress, positions, done, total),
+        )
+        done += len(report.results)
+        reports.append(report)
+        results.extend(
+            replace(r, position=positions[r.position])
+            for r in report.results
+        )
+    return ShardedRun(reports=tuple(reports), results=tuple(results))
+
+
+def _relay(progress, positions: list[int], done: int, total: int):
+    """A shard pipeline's progress callback, re-expressed batch-wide."""
+    if progress is None:
+        return None
+
+    def relay(shard_done: int, _shard_total: int, item) -> None:
+        progress(
+            done + shard_done,
+            total,
+            replace(item, position=positions[item.position]),
+        )
+
+    return relay
+
+
+# ---------------------------------------------------------------------------
+# sharded publishing
 # ---------------------------------------------------------------------------
 
 
@@ -186,14 +251,7 @@ class ParallelPublishReport(_OverlapAccounting, BatchPublishReport):
 
 
 class ParallelPublisher:
-    """Drives one :class:`VMIPublisher` over family-affine shards.
-
-    Every publish runs under the repository's exclusive write lock, so
-    mutations never interleave *within* an operation; shards overlap
-    their simulated I/O, which the per-shard accounts expose as
-    critical-path time.  The publisher's selection memo is shared —
-    its caches are internally locked.
-    """
+    """Drives one :class:`VMIPublisher` over family-affine shards."""
 
     def __init__(
         self, publisher: VMIPublisher, *, parallelism: int
@@ -213,7 +271,7 @@ class ParallelPublisher:
         progress=None,
         on_error: str = "continue",
     ) -> ParallelPublishReport:
-        """Publish a batch across shards; returns the merged report.
+        """Publish a batch shard by shard; returns the merged report.
 
         Mirrors :meth:`~repro.service.batch.BatchPublisher.
         publish_many` (same ``order``/``progress``/``on_error``
@@ -237,77 +295,31 @@ class ParallelPublisher:
         shards = plan_shards(
             items, self.parallelism, lambda pv: pv[1].base.attrs.key()
         )
-        if order == "dedup":
-            # same key as dedup_aware_order; the stable sort keeps
-            # equal-key uploads in their given (position) order
-            shards = [
-                sorted(shard, key=lambda pv: _dedup_key(pv[1]))
-                for shard in shards
-            ]
 
         repo = self.publisher.repo
         bytes_before = repo.total_bytes()
         stats_before = self.publisher.selection_memo.stats.snapshot()
-        tracker = _ProgressTracker(progress, len(items))
-        abort = threading.Event()
-
-        def run_shard(shard_index: int, shard_items: list):
-            results: list[BatchItemResult] = []
-            simulated = 0.0
-            failed = 0
-            for pos, vmi in shard_items:
-                if abort.is_set():
-                    break
-                try:
-                    with repo.lock.write():
-                        report = self.publisher.publish(vmi)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        abort.set()
-                        raise
-                    failed += 1
-                    item = BatchItemResult(
-                        position=pos,
-                        name=vmi.name,
-                        error=str(exc),
-                    )
-                else:
-                    simulated += report.publish_time
-                    item = BatchItemResult(
-                        position=pos,
-                        name=vmi.name,
-                        report=report,
-                    )
-                results.append(item)
-                tracker.step(item)
-            return (
-                results,
-                ShardAccount(
-                    shard=shard_index,
-                    n_items=len(shard_items),
-                    n_failed=failed,
-                    simulated_seconds=simulated,
-                ),
-            )
-
-        outcomes = _run_sharded(shards, run_shard, self.parallelism)
-
-        results = sorted(
-            (item for shard_results, _ in outcomes for item in shard_results),
-            key=lambda item: item.position,
+        pipeline = BatchPublisher(self.publisher)
+        run = run_shards(
+            shards,
+            lambda _, batch, relay: pipeline.publish_many(
+                batch, order=order, progress=relay, on_error=on_error
+            ),
+            progress=progress,
+            total=len(items),
         )
         stats_after = self.publisher.selection_memo.stats
         return ParallelPublishReport(
-            results=tuple(results),
+            results=run.merged(),
             repo_bytes_before=bytes_before,
             repo_bytes_after=repo.total_bytes(),
             selection_stats=stats_after.since(stats_before),
-            shards=tuple(account for _, account in outcomes),
+            shards=run.accounts(),
         )
 
 
 # ---------------------------------------------------------------------------
-# parallel retrieval
+# sharded retrieval
 # ---------------------------------------------------------------------------
 
 
@@ -317,8 +329,7 @@ class ParallelRetrieveReport(_OverlapAccounting, BatchRetrieveReport):
 
 
 class ParallelRetriever:
-    """Drives one (internally locked) :class:`AssemblyPlanner` over
-    base-affine shards, each retrieval under the shared read lock."""
+    """Drives one :class:`AssemblyPlanner` over base-affine shards."""
 
     def __init__(
         self, planner: AssemblyPlanner, *, parallelism: int
@@ -338,7 +349,7 @@ class ParallelRetriever:
         progress=None,
         on_error: str = "continue",
     ) -> ParallelRetrieveReport:
-        """Retrieve a batch across shards; returns the merged report.
+        """Retrieve a batch shard by shard; returns the merged report.
 
         Mirrors :meth:`~repro.service.retrieval.BatchRetriever.
         retrieve_many` (names or request objects; same ``order``/
@@ -356,136 +367,30 @@ class ParallelRetriever:
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
 
-        repo = self.planner.repo
-        tracker = _ProgressTracker(progress, len(requests))
-
-        unresolved: list[RetrieveItemResult] = []
-        resolved: list[tuple[int, RetrievalRequest]] = []
-        for pos, item in enumerate(requests):
-            if isinstance(item, RetrievalRequest):
-                resolved.append((pos, item))
-                continue
-            try:
-                with repo.lock.read():
-                    record = repo.get_vmi_record(item)
-            except ReproError as exc:
-                if on_error == "raise":
-                    raise
-                failure = RetrieveItemResult(
-                    position=pos, name=item, error=str(exc)
-                )
-                unresolved.append(failure)
-                tracker.step(failure)
-                continue
-            resolved.append((pos, RetrievalRequest.for_record(record)))
+        resolved, unresolved = resolve_requests(
+            self.planner.repo, requests, on_error=on_error
+        )
+        if progress is not None:
+            for done, failure in enumerate(unresolved, start=1):
+                progress(done, len(requests), failure)
 
         shards = plan_shards(
             resolved, self.parallelism, lambda pr: pr[1].base_key
         )
-        if order == "affine":
-            # same key as base_affine_order; the stable sort keeps
-            # equal-key requests in their given (position) order
-            shards = [
-                sorted(shard, key=lambda pr: _affine_key(pr[1]))
-                for shard in shards
-            ]
-
-        abort = threading.Event()
-
-        def run_shard(shard_index: int, shard_items: list):
-            results: list[RetrieveItemResult] = []
-            simulated = 0.0
-            failed = 0
-            for pos, request in shard_items:
-                if abort.is_set():
-                    break
-                try:
-                    with repo.lock.read():
-                        planned = self.planner.assemble(request)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        abort.set()
-                        raise
-                    failed += 1
-                    item = RetrieveItemResult(
-                        position=pos, name=request.name, error=str(exc)
-                    )
-                else:
-                    simulated += planned.report.breakdown.total
-                    item = RetrieveItemResult(
-                        position=pos,
-                        name=request.name,
-                        report=planned.report,
-                        plan_hit=planned.plan_hit,
-                        warm_base=planned.warm_base,
-                    )
-                results.append(item)
-                tracker.step(item)
-            return (
-                results,
-                ShardAccount(
-                    shard=shard_index,
-                    n_items=len(shard_items),
-                    n_failed=failed,
-                    simulated_seconds=simulated,
-                ),
-            )
 
         stats_before = self.planner.stats.snapshot()
-        outcomes = _run_sharded(shards, run_shard, self.parallelism)
-
-        results = sorted(
-            unresolved
-            + [
-                item
-                for shard_results, _ in outcomes
-                for item in shard_results
-            ],
-            key=lambda item: item.position,
+        pipeline = BatchRetriever(self.planner)
+        run = run_shards(
+            shards,
+            lambda _, batch, relay: pipeline.retrieve_many(
+                batch, order=order, progress=relay, on_error=on_error
+            ),
+            progress=progress,
+            total=len(requests),
+            done=len(unresolved),
         )
         return ParallelRetrieveReport(
-            results=tuple(results),
+            results=run.merged(unresolved),
             planner_stats=self.planner.stats.since(stats_before),
-            shards=tuple(account for _, account in outcomes),
+            shards=run.accounts(),
         )
-
-
-# ---------------------------------------------------------------------------
-# shared executor plumbing
-# ---------------------------------------------------------------------------
-
-
-class _ProgressTracker:
-    """Serialises multi-threaded progress callbacks into done-counts."""
-
-    def __init__(self, callback, total: int) -> None:
-        self._callback = callback
-        self._total = total
-        self._done = 0
-        self._lock = threading.Lock()
-
-    def step(self, item) -> None:
-        if self._callback is None:
-            return
-        with self._lock:
-            self._done += 1
-            self._callback(self._done, self._total, item)
-
-
-def _run_sharded(shards, run_shard, parallelism: int):
-    """Run every shard on the pool; re-raise the first shard error."""
-    outcomes = []
-    errors: list[BaseException] = []
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        futures = [
-            pool.submit(run_shard, index, shard)
-            for index, shard in enumerate(shards)
-        ]
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except ReproError as exc:
-                errors.append(exc)
-    if errors:
-        raise errors[0]
-    return outcomes

@@ -45,6 +45,7 @@ __all__ = [
     "RetrieveItemResult",
     "base_affine_order",
     "components_line",
+    "resolve_requests",
 ]
 
 #: progress callback: (items done, batch size, result of the last item)
@@ -191,6 +192,33 @@ class BatchRetrieveReport:
         return "\n".join(lines)
 
 
+def resolve_requests(
+    repo, requests: Sequence[RetrievalRequest | str], *, on_error: str
+) -> tuple[list[tuple[int, RetrievalRequest]], list[RetrieveItemResult]]:
+    """Resolve a batch's names against the repository's records:
+    ``(position, request)`` pairs for the resolvable items, failure
+    results for unknown names (raised under ``on_error="raise"``)."""
+    resolved: list[tuple[int, RetrievalRequest]] = []
+    unresolved: list[RetrieveItemResult] = []
+    for position, item in enumerate(requests):
+        if isinstance(item, RetrievalRequest):
+            resolved.append((position, item))
+            continue
+        try:
+            record = repo.get_vmi_record(item)
+        except ReproError as exc:
+            if on_error == "raise":
+                raise
+            unresolved.append(
+                RetrieveItemResult(
+                    position=position, name=item, error=str(exc)
+                )
+            )
+            continue
+        resolved.append((position, RetrievalRequest.for_record(record)))
+    return resolved, unresolved
+
+
 class BatchRetriever:
     """Drives one :class:`AssemblyPlanner` over whole request batches."""
 
@@ -231,25 +259,11 @@ class BatchRetriever:
             if progress is not None:
                 progress(len(results), n_total, item)
 
-        repo = self.planner.repo
-        resolved: list[tuple[int, RetrievalRequest]] = []
-        for position, item in enumerate(requests):
-            if isinstance(item, RetrievalRequest):
-                request = item
-            else:
-                try:
-                    record = repo.get_vmi_record(item)
-                except ReproError as exc:
-                    if on_error == "raise":
-                        raise
-                    record_item(
-                        RetrieveItemResult(
-                            position=position, name=item, error=str(exc)
-                        )
-                    )
-                    continue
-                request = RetrievalRequest.for_record(record)
-            resolved.append((position, request))
+        resolved, unresolved = resolve_requests(
+            self.planner.repo, requests, on_error=on_error
+        )
+        for failure in unresolved:
+            record_item(failure)
 
         if order == "affine":
             # key on the request alone; the stable sort keeps

@@ -1,10 +1,10 @@
-"""Property: parallel execution ≡ sequential, under any interleaving.
+"""Property: sharded execution ≡ sequential, under any shard plan.
 
 The sharded executors (:mod:`repro.service.parallel`) are pure
-*schedulers*: for any corpus, any shard count and any thread
-interleaving (real threads — the schedule is whatever the OS produces,
-plus a hypothesis-drawn input permutation), the repository they leave
-behind must be indistinguishable from the sequential pipeline's:
+*schedulers*: for any corpus, any shard count and any hypothesis-drawn
+input permutation, the repository they leave behind — the shards run
+one after another, reordering the batch — must be indistinguishable
+from the sequential pipeline's:
 
 * every published VMI retrieves to a **byte-identical manifest**;
 * the liveness **refcounts are identical**, before and after GC;
@@ -13,8 +13,8 @@ behind must be indistinguishable from the sequential pipeline's:
 * **fsck is clean** at every step.
 
 The CI ``concurrency-stress`` job re-runs this suite with a higher
-example budget (``PARALLEL_PROP_EXAMPLES``) to widen the schedule
-space explored per run.
+example budget (``PARALLEL_PROP_EXAMPLES``) to widen the space of
+shard plans explored per run.
 """
 
 import os

@@ -5,9 +5,13 @@ yields a plan that is dependency-closed, correctly ordered and version
 consistent — including catalogs with dependency cycles.
 """
 
+from contextlib import contextmanager
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.guestos import catalog as catalog_module
 from repro.guestos.catalog import Catalog
 from repro.model.package import DependencySpec, make_package
 
@@ -108,3 +112,90 @@ def test_auto_marks_exactly_non_requested(catalog, data):
     plan = catalog.resolve([name])
     for step in plan:
         assert step.auto == (step.package.name != name)
+
+
+# ---------------------------------------------------------------------------
+# build order: the dict-based resolver against the networkx oracle
+# ---------------------------------------------------------------------------
+
+
+def _networkx_dependency_order(chosen, preinstalled):
+    """The networkx-backed build order the resolver used to run,
+    kept verbatim as the reference the dict-based one must reproduce."""
+    import networkx as nx
+
+    g = nx.DiGraph()
+    g.add_nodes_from(chosen)
+    for name, pkg in chosen.items():
+        for dep in pkg.dependency_names():
+            if dep in chosen:
+                g.add_edge(name, dep)
+    condensation = nx.condensation(g)
+    # condensation is a DAG; topological order gives dependents first,
+    # so reverse it to install dependencies first.
+    order: list[str] = []
+    for scc_id in reversed(list(nx.topological_sort(condensation))):
+        members = sorted(condensation.nodes[scc_id]["members"])
+        order.extend(members)
+    return order
+
+
+@contextmanager
+def _checked_against_oracle():
+    """Route every resolution's build order through both
+    implementations and fail on the first disagreement."""
+    real = catalog_module._dependency_order
+    calls = []
+
+    def checked(chosen, preinstalled):
+        order = real(chosen, preinstalled)
+        assert order == _networkx_dependency_order(chosen, preinstalled)
+        calls.append(len(chosen))
+        return order
+
+    with mock.patch.object(catalog_module, "_dependency_order", checked):
+        yield calls
+
+
+@given(catalogs(), st.data())
+@settings(max_examples=150)
+def test_build_order_matches_networkx_oracle(catalog, data):
+    packages = catalog.all_packages()
+    # the whole catalog, in a drawn insertion order and as a drawn
+    # subset (dependencies outside ``chosen`` must be ignored)
+    shuffled = data.draw(st.permutations(packages))
+    subset = data.draw(st.lists(st.sampled_from(packages), unique=True))
+    for pool in (packages, shuffled, subset):
+        chosen = {p.name: p for p in pool}
+        assert catalog_module._dependency_order(
+            chosen, {}
+        ) == _networkx_dependency_order(chosen, {})
+    # and on the ``chosen`` maps real resolutions build
+    name = data.draw(st.sampled_from(catalog.names()))
+    with _checked_against_oracle() as calls:
+        catalog.resolve([name])
+    assert calls
+
+
+def test_catalog_data_resolutions_match_networkx_oracle():
+    """Every resolution the shipped catalog performs: the base
+    template, every package alone and on top of the base, and every
+    Table II image build."""
+    from repro.errors import ReproError
+    from repro.workloads import standard_corpus
+    from repro.workloads.catalog_data import base_template, build_catalog
+
+    catalog = build_catalog()
+    with _checked_against_oracle() as calls:
+        base = catalog.resolve(base_template().package_names)
+        preinstalled = {p.name: p for p in base.packages()}
+        for name in catalog.names():
+            catalog.resolve([name])
+            try:
+                catalog.resolve([name], preinstalled=preinstalled)
+            except ReproError:
+                pass  # conflicts with the base; nothing to order
+        corpus = standard_corpus()
+        for spec_name in corpus.table_ii_names():
+            corpus.build(spec_name)
+    assert len(calls) > 2 * len(catalog.names())

@@ -1,10 +1,10 @@
 """Regression: shared planner/memo caches under thread pressure.
 
-Once retrieval goes parallel, one :class:`~repro.core.assembly_plan.
-AssemblyPlanner` (and one :class:`~repro.core.base_selection.
-SelectionMemo`) is shared by every worker thread.  Before the caches
-were guarded, two threads could interleave a lookup with a derivation
-and serve a torn entry or double-derive into inconsistent stats.  These
+The image server's worker threads share one :class:`~repro.core.
+assembly_plan.AssemblyPlanner` (and one :class:`~repro.core.
+base_selection.SelectionMemo`).  Before the caches were guarded, two
+threads could interleave a lookup with a derivation and serve a torn
+entry or double-derive into inconsistent stats.  These
 tests hammer the shared instances from 8 threads and assert that every
 answer equals the single-threaded reference.
 """
@@ -107,19 +107,40 @@ def test_shared_planner_assemble_is_observationally_stable(
 def test_shared_selection_memo_survives_concurrent_publish_shards(
     scale_corpus_factory,
 ):
-    """Two parallel publish batches over one memo leave it consistent:
-    a follow-up sequential publish on the same system still selects
-    stored bases (no duplicate base blobs, clean fsck)."""
+    """Two publish batches driven from two threads over one memo leave
+    it consistent: publishes interleave across the threads, each under
+    the repository write lock as the image server's workers take it,
+    and the repository still converges (no duplicate base blobs, clean
+    fsck)."""
     corpus = scale_corpus_factory(18, n_families=3, seed="memo-hammer")
     system = Expelliarmus()
-    first = system.publish_many(
-        [corpus.build(i) for i in range(12)], parallelism=4
-    )
-    assert first.n_failed == 0
-    second = system.publish_many(
-        [corpus.build(i) for i in range(12, 18)], parallelism=3
-    )
-    assert second.n_failed == 0
+    batches = [
+        [corpus.build(i) for i in range(12)],
+        [corpus.build(i) for i in range(12, 18)],
+    ]
+    start = threading.Barrier(len(batches))
+    failures = []
+
+    def publish_batch(batch):
+        start.wait()
+        for vmi in batch:
+            try:
+                with system.repo.lock.write():
+                    system.publish(vmi)
+            except Exception as exc:  # pragma: no cover - the regression
+                failures.append((vmi.name, exc))
+
+    threads = [
+        threading.Thread(target=publish_batch, args=(batch,))
+        for batch in batches
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert not failures
+    assert len(system.published_names()) == 18
     assert system.fsck().clean
     # content-addressed convergence: one stored base per distinct blob
     keys = [b.blob_key() for b in system.repo.base_images()]

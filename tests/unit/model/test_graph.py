@@ -1,10 +1,14 @@
 """Unit tests for the SemanticGraph."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro.errors import GraphModelError
 from repro.model.attributes import BaseImageAttrs
-from repro.model.graph import PackageRole, SemanticGraph
+from repro.model.graph import NodeKind, PackageRole, SemanticGraph
 from repro.model.package import make_package
 
 ATTRS = BaseImageAttrs("linux", "ubuntu", "16.04", "amd64")
@@ -32,6 +36,10 @@ def build_sample() -> SemanticGraph:
     return g
 
 
+def role_of(g: SemanticGraph, key: str) -> PackageRole:
+    return {k: role for k, _, role in g.package_nodes()}[key]
+
+
 class TestConstruction:
     def test_single_base_image(self):
         g = SemanticGraph()
@@ -53,10 +61,10 @@ class TestConstruction:
         pkg = make_package("x", "1.0", installed_size=1)
         key = g.add_package(pkg, PackageRole.DEPENDENCY)
         g.add_package(pkg, PackageRole.PRIMARY)
-        assert g.nx_graph.nodes[key]["role"] is PackageRole.PRIMARY
+        assert role_of(g, key) is PackageRole.PRIMARY
         # weakening is ignored
         g.add_package(pkg, PackageRole.DEPENDENCY)
-        assert g.nx_graph.nodes[key]["role"] is PackageRole.PRIMARY
+        assert role_of(g, key) is PackageRole.PRIMARY
 
     def test_edge_requires_known_nodes(self):
         g = SemanticGraph()
@@ -174,3 +182,60 @@ class TestUnion:
         dup.add_package(make_package("new", "1.0"), PackageRole.PRIMARY)
         assert not g.has_package("new")
         assert dup.has_package("new")
+
+
+class _ParentLayoutPickler(pickle.Pickler):
+    """Pickles a SemanticGraph exactly as it pickled when it wrapped a
+    ``networkx.DiGraph``: the class, then its ``__dict__`` as state."""
+
+    def __init__(self, file, nx_graph, base_node):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.state = {"_g": nx_graph, "_base_node": base_node}
+
+    def reducer_override(self, obj):
+        if isinstance(obj, SemanticGraph):
+            return (copyreg.__newobj__, (SemanticGraph,), self.state)
+        return NotImplemented
+
+
+def _edges(g: SemanticGraph) -> list[tuple[str, str]]:
+    return [(u, v) for u, targets in g._succ.items() for v in targets]
+
+
+def _shape(g: SemanticGraph) -> tuple:
+    return (
+        g.base_node,
+        g.base_attrs,
+        list(g._succ),
+        list(g.package_nodes()),
+        _edges(g),
+    )
+
+
+class TestPersistedFormat:
+    def test_loads_the_networkx_layout(self):
+        import networkx as nx
+
+        g = build_sample()
+        legacy = nx.DiGraph()
+        legacy.add_node(g.base_node, kind=NodeKind.BASE_IMAGE, attrs=ATTRS)
+        for key, pkg, role in g.package_nodes():
+            legacy.add_node(key, kind=NodeKind.PACKAGE, package=pkg, role=role)
+        legacy.add_edges_from(_edges(g))
+        buffer = io.BytesIO()
+        _ParentLayoutPickler(buffer, legacy, g.base_node).dump(g)
+        blob = buffer.getvalue()
+        assert b"networkx" in blob
+
+        loaded = pickle.loads(blob)
+        assert isinstance(loaded, SemanticGraph)
+        assert _shape(loaded) == _shape(g)
+        # and it keeps working as a graph
+        loaded.add_package(make_package("new", "1.0"), PackageRole.PRIMARY)
+        assert loaded.has_package("new")
+
+    def test_new_pickles_name_no_third_party_class(self):
+        g = build_sample()
+        blob = pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL)
+        assert b"networkx" not in blob
+        assert _shape(pickle.loads(blob)) == _shape(g)

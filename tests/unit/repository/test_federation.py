@@ -113,6 +113,21 @@ class TestRouting:
         with pytest.raises(ProtocolError):
             fed.publish(vmi)
 
+    def test_batch_results_carry_caller_positions(self):
+        """Regression: under the default dedup order each shard
+        pipeline reorders its items, and result positions used to index
+        that reordered batch instead of the caller's."""
+        vmis = [CORPUS.build(i) for i in range(20)]
+        seen = []
+        fed = FederatedRepository(shards=3)
+        report = fed.publish_many(
+            vmis, progress=lambda done, total, item: seen.append(item)
+        )
+        assert report.n_failed == 0
+        assert [r.position for r in report.results] == list(range(20))
+        assert [r.name for r in report.results] == [v.name for v in vmis]
+        assert all(vmis[r.position].name == r.name for r in seen)
+
     def test_unknown_name_raises_not_in_repository(self):
         fed = FederatedRepository(shards=2)
         with pytest.raises(NotInRepositoryError):

@@ -1,6 +1,8 @@
 """Unit tests for the write-ahead op-log."""
 
 import pickle
+import sys
+import types
 
 import pytest
 
@@ -117,6 +119,28 @@ class TestTornTail:
         final = OpLog.read(path)
         assert final.torn_bytes == 0
         assert [r.args for r in final.ops] == [(1,), (9,)]
+
+    @pytest.mark.parametrize("gone", ["module", "class"])
+    def test_record_naming_missing_code_is_not_a_torn_tail(
+        self, tmp_path, monkeypatch, gone
+    ):
+        module = types.ModuleType("oplog_test_payloads")
+        module.Payload = type("Payload", (), {"__module__": module.__name__})
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        log = OpLog.create(tmp_path / "log.bin", snapshot_mutations=0)
+        log.append("mark_base_dirty", (module.Payload(),))
+        log.append("mark_base_dirty", (2,))
+        log.close()
+        path = tmp_path / "log.bin"
+        blob = path.read_bytes()
+
+        if gone == "module":
+            monkeypatch.delitem(sys.modules, module.__name__)
+        else:
+            monkeypatch.delattr(module, "Payload")
+        with pytest.raises(WorkspaceError, match="cannot be decoded"):
+            OpLog.open(path)
+        assert path.read_bytes() == blob
 
     def test_append_after_close_raises(self, tmp_path):
         log = OpLog.create(tmp_path / "log.bin", snapshot_mutations=0)

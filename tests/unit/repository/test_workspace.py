@@ -1,12 +1,17 @@
 """Unit tests for durable workspaces (snapshot + op-log pairing)."""
 
+import copyreg
+import io
 import pickle
+import sys
 
 import pytest
 
 from repro.core.system import Expelliarmus
 from repro.errors import WorkspaceError
 from repro.image.builder import BuildRecipe
+from repro.model.graph import NodeKind, SemanticGraph
+from repro.repository.oplog import OpLog
 from repro.repository.workspace import Workspace
 
 
@@ -211,3 +216,97 @@ class TestPairing:
         )
         with pytest.raises(WorkspaceError):
             workspace.load()
+
+
+class _NetworkxLayoutPickler(pickle.Pickler):
+    """Pickles every SemanticGraph as it pickled when it wrapped a
+    ``networkx.DiGraph``: the class, then ``{"_g", "_base_node"}`` as
+    state, with the node views networkx caches on first use."""
+
+    def __init__(self, file):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, SemanticGraph):
+            return NotImplemented
+        import networkx as nx
+
+        legacy = nx.DiGraph()
+        if obj.base_node is not None:
+            legacy.add_node(
+                obj.base_node, kind=NodeKind.BASE_IMAGE, attrs=obj.base_attrs
+            )
+        for key, pkg, role in obj.package_nodes():
+            legacy.add_node(key, kind=NodeKind.PACKAGE, package=pkg, role=role)
+        for src, targets in obj.__getstate__()["succ"].items():
+            legacy.add_edges_from((src, dst) for dst in targets)
+        legacy.nodes, legacy.adj  # noqa: B018 - cache the views
+        state = {"_g": legacy, "_base_node": obj.base_node}
+        return (copyreg.__newobj__, (SemanticGraph,), state)
+
+
+def _dump_networkx_layout(obj) -> bytes:
+    buffer = io.BytesIO()
+    _NetworkxLayoutPickler(buffer).dump(obj)
+    return buffer.getvalue()
+
+
+def _rewrite_in_networkx_layout(workspace: Workspace) -> int:
+    """Re-pickle a closed workspace's snapshot and op-log records in
+    the networkx graph layout; returns the op-log's record count."""
+    snapshot = pickle.loads(workspace.snapshot_path.read_bytes())
+    workspace.snapshot_path.write_bytes(_dump_networkx_layout(snapshot))
+    with open(workspace.oplog_path, "rb") as file:
+        header = pickle.load(file)
+        records = []
+        while file.tell() < workspace.oplog_path.stat().st_size:
+            records.append(pickle.load(file))
+    with open(workspace.oplog_path, "wb") as file:
+        pickle.dump(header, file, protocol=pickle.HIGHEST_PROTOCOL)
+        for record in records:
+            file.write(_dump_networkx_layout(record))
+    return len(records)
+
+
+class TestNetworkxLayout:
+    """Workspaces whose graphs were pickled as ``networkx.DiGraph``s
+    open, replay and retrieve without networkx installed."""
+
+    def test_opens_without_networkx(
+        self, mini_builder, tmp_path, monkeypatch
+    ):
+        system = Expelliarmus.open(tmp_path / "store")
+        _publish(system, mini_builder, "redis-vm")
+        system.save()
+        # master-graph records land in the op-log after the checkpoint
+        _publish(system, mini_builder, "nginx-vm", ("nginx",))
+        names = sorted(system.published_names())
+        expected = {
+            name: system.retrieve(name).vmi.full_manifest()
+            for name in names
+        }
+        system.close()
+        workspace = Workspace(tmp_path / "store")
+        n_records = _rewrite_in_networkx_layout(workspace)
+        assert OpLog.read(workspace.oplog_path).n_ops == n_records
+        for path in (workspace.snapshot_path, workspace.oplog_path):
+            assert b"networkx.classes.digraph" in path.read_bytes()
+            assert b"networkx.classes.reportviews" in path.read_bytes()
+        log_size = workspace.oplog_path.stat().st_size
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        for checkpointed in (False, True):
+            reopened = Expelliarmus.open(tmp_path / "store")
+            if not checkpointed:
+                # every record replayed, none taken for a torn tail
+                assert reopened.workspace.replayed_ops == n_records
+                assert workspace.oplog_path.stat().st_size == log_size
+            assert reopened.fsck().findings == ()
+            assert sorted(reopened.published_names()) == names
+            for name in names:
+                manifest = reopened.retrieve(name).vmi.full_manifest()
+                assert manifest == expected[name]
+            reopened.save()
+            reopened.close()
+        assert OpLog.read(workspace.oplog_path).n_ops == 0
+        assert b"networkx" not in workspace.snapshot_path.read_bytes()
