@@ -40,12 +40,17 @@ the directory, every state-changing operation is journaled to its
 write-ahead op-log before it applies, and later invocations — other
 processes included — reopen the same repository via snapshot + replay.
 ``publish`` into a workspace in one process, ``retrieve-many`` /
-``gc`` / ``fsck`` it in the next.  Without ``--workspace``, the
-repository-facing subcommands synthesize a corpus in memory and exit,
-exactly as before; with it, corpus synthesis happens only for the
-publishing subcommands (``retrieve-many``, ``delete``, ``gc``,
-``fsck`` and ``stats`` operate on what the workspace already holds,
-and their corpus/churn flags are ignored).
+``gc`` / ``fsck`` it in the next.  PATH describes itself: a federation
+root (``--shards N`` on a new PATH) reopens as that federation without
+the flag, and a ``--shards`` that contradicts what PATH holds — a
+different shard count, or any count on a plain workspace — is a
+one-line error that writes nothing.  Without ``--workspace`` (*fresh
+mode*), ``retrieve-many``, ``delete``, ``gc``, ``fsck``, ``mine``,
+``rebase`` and ``stats`` first publish the corpus their flags select
+into a throwaway store (sharded with ``--shards``), run any churn the
+flags ask for, and then run the same verb; with it, they operate on
+what the workspace already holds and their corpus/churn flags are
+ignored.
 
 **Remote mode.**  ``--remote HOST:PORT`` points a repository
 subcommand at a running ``expelliarmus serve`` daemon instead of a
@@ -63,6 +68,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.experiments.runner import ALL_EXPERIMENTS
@@ -521,37 +528,29 @@ def _cmd_experiments(ids: Sequence[str], figures: bool = False) -> int:
     return 0
 
 
+class _Exit(Exception):
+    """Leave the verb with this exit code; its message is printed."""
+
+    def __init__(self, code: int) -> None:
+        super().__init__(code)
+        self.code = code
+
+
 def _make_system(args, **kwargs):
-    """An Expelliarmus over the ``--workspace`` store, or a fresh one.
-
-    Opening a workspace replays its write-ahead op-log on top of the
-    last snapshot; a fresh directory comes up empty and durable.
-    ``--shards N`` swaps in a
-    :class:`~repro.repository.federation.FederatedRepository` (same
-    facade surface); a workspace that is already a federation root is
-    reopened as one even without the flag.
-    """
-    from pathlib import Path
-
+    """The store the flags name: ``--workspace PATH`` (whatever PATH
+    holds, :meth:`Expelliarmus.open`), else an in-memory one —
+    ``--shards N`` makes it (or a new PATH) a federation of N shards."""
     from repro.core.system import Expelliarmus
 
     path = getattr(args, "workspace", None)
     shards = getattr(args, "shards", None)
-    if shards is None and path is not None:
-        from repro.repository.federation import MANIFEST_NAME
-
-        if (Path(path) / MANIFEST_NAME).exists():
-            shards = 0  # sentinel: reopen with the persisted count
+    if path is not None:
+        return Expelliarmus.open(path, federation=shards, **kwargs)
     if shards is not None:
         from repro.repository.federation import FederatedRepository
 
-        shards = shards or None
-        if path is None:
-            return FederatedRepository(shards=shards, **kwargs)
-        return FederatedRepository.open(path, shards=shards, **kwargs)
-    if path is None:
-        return Expelliarmus(**kwargs)
-    return Expelliarmus.open(path, **kwargs)
+        return FederatedRepository(shards=shards, **kwargs)
+    return Expelliarmus(**kwargs)
 
 
 def _finish(system, args) -> None:
@@ -561,21 +560,77 @@ def _finish(system, args) -> None:
         system.close()
 
 
+@dataclass
+class _Store:
+    """What a repository verb's one body works on."""
+
+    system: object
+    #: names published when the verb starts, before its prelude
+    published: list[str]
+    #: the header's account of them: ``published N VMIs`` (fresh
+    #: mode, extended by a prelude that churns) or ``workspace holds
+    #: N VMIs``
+    holds: str
+    #: the VMIs named on the command line; none in fresh mode, where
+    #: the names chose the seeded corpus instead
+    names: list[str]
+    fresh: bool
+
+
+@contextmanager
+def _store(args, **kwargs):
+    """Open the store the flags name; ``_finish`` it on the way out.
+
+    With ``--workspace`` a verb sees what PATH already holds.  Without
+    it (*fresh mode*), the verbs in :data:`_SEEDING` first publish the
+    corpus the flags select into the throwaway store, then run their
+    prelude — so each verb has one body for both modes.  Bad arguments
+    and failed seeding exit through :class:`_Exit`.
+    """
+    fresh = getattr(args, "workspace", None) is None
+    seeded = fresh and args.command in _SEEDING
+    if seeded:
+        if args.command in _CHURN_RANGES:
+            _churn_pct(args)
+        vmis = _resolve_corpus(args)
+    system = _make_system(args, **kwargs)
+    try:
+        if seeded:
+            order, prelude = _SEEDING[args.command]
+            report = system.publish_many(vmis, order=order)
+            if report.n_failed:
+                print(report.render(), file=sys.stderr)
+                raise _Exit(1)
+        published = system.published_names()
+        where = "published" if fresh else "workspace holds"
+        store = _Store(
+            system,
+            published,
+            f"{where} {len(published)} VMIs",
+            [] if fresh else list(getattr(args, "names", [])),
+            fresh,
+        )
+        if seeded and prelude is not None:
+            prelude(store, args)
+        yield store
+    finally:
+        _finish(system, args)
+
+
 def _cmd_publish(args) -> int:
     from repro.errors import ReproError
-    from repro.workloads.generator import standard_corpus
 
-    corpus = standard_corpus()
-    system = _make_system(args)
-    try:
-        for name in args.names:
+    vmis = _resolve_corpus(args)
+    with _store(args) as store:
+        system = store.system
+        for vmi in vmis:
             try:
-                report = system.publish(corpus.build(name))
+                report = system.publish(vmi)
             except ReproError as exc:
-                print(f"error: {name}: {exc}", file=sys.stderr)
+                print(f"error: {vmi.name}: {exc}", file=sys.stderr)
                 return 1
             print(
-                f"{name}: published in "
+                f"{vmi.name}: published in "
                 f"{fmt_seconds(report.publish_time)}, "
                 f"similarity {report.similarity:.2f}, "
                 f"exported {len(report.exported_packages)} packages, "
@@ -583,21 +638,18 @@ def _cmd_publish(args) -> int:
                 f"repository now {fmt_gb(system.repository_size)}"
             )
         return 0
-    finally:
-        _finish(system, args)
 
 
 def _resolve_corpus(args):
-    """The VMIs the shared corpus flags select, or an exit code.
+    """The VMIs the corpus flags select.
 
     ``--scale N`` builds an N-VMI generated corpus; otherwise the named
-    (default: all) Table II images.  Errors print to stderr and return
-    ``2``, the bad-arguments exit code.
+    (default: all) Table II images.  Errors print to stderr and exit
+    ``2``, the bad-arguments code.
     """
     from repro.workloads.generator import scale_corpus, standard_corpus
-    from repro.workloads.vmi_specs import TABLE_II_ORDER
 
-    if args.scale is not None:
+    if getattr(args, "scale", None) is not None:
         overrides = {}
         if getattr(args, "split_pct", 0):
             # the split regime needs the fat flavour off: a fat base
@@ -615,10 +667,17 @@ def _resolve_corpus(args):
             )
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _Exit(2) from exc
         return list(corpus.build_all())
     table_corpus = standard_corpus()
-    names = args.names or list(TABLE_II_ORDER)
+    return [table_corpus.build(name) for name in _table2_names(args)]
+
+
+def _table2_names(args) -> list[str]:
+    """The named (default: all) Table II images; unknown names exit 2."""
+    from repro.workloads.vmi_specs import TABLE_II_ORDER
+
+    names = list(getattr(args, "names", None) or TABLE_II_ORDER)
     unknown = [n for n in names if n not in TABLE_II_ORDER]
     if unknown:
         print(
@@ -626,8 +685,8 @@ def _resolve_corpus(args):
             f"(see 'expelliarmus corpus')",
             file=sys.stderr,
         )
-        return 2
-    return [table_corpus.build(name) for name in names]
+        raise _Exit(2)
+    return names
 
 
 def _cmd_publish_many(args) -> int:
@@ -635,10 +694,6 @@ def _cmd_publish_many(args) -> int:
         print("error: --parallel must be positive", file=sys.stderr)
         return 2
     vmis = _resolve_corpus(args)
-    if isinstance(vmis, int):
-        return vmis
-
-    system = _make_system(args, indexed_selection=not args.scan)
 
     def echo_progress(done, total, item):
         status = (
@@ -648,8 +703,8 @@ def _cmd_publish_many(args) -> int:
         )
         print(f"[{done:>4}/{total}] {item.name:<16} {status}")
 
-    try:
-        report = system.publish_many(
+    with _store(args, indexed_selection=not args.scan) as store:
+        report = store.system.publish_many(
             vmis,
             order=args.order,
             progress=echo_progress if args.progress else None,
@@ -657,8 +712,6 @@ def _cmd_publish_many(args) -> int:
         )
         print(report.render())
         return 1 if report.n_failed else 0
-    finally:
-        _finish(system, args)
 
 
 def _cmd_retrieve_many(args) -> int:
@@ -676,61 +729,30 @@ def _cmd_retrieve_many(args) -> int:
         )
         return 2
 
-    if getattr(args, "workspace", None) is not None:
-        # retrieve what the workspace already holds — published by an
-        # earlier invocation, possibly by another process
-        system = _make_system(args)
-        published = system.published_names()
-        if args.names:
-            unknown = [n for n in args.names if n not in published]
-            if unknown:
-                print(
-                    f"error: not published in this workspace: "
-                    f"{', '.join(unknown)}",
-                    file=sys.stderr,
-                )
-                _finish(system, args)
-                return 2
-            targets = list(args.names)
-        else:
-            targets = published
+    with _store(args) as store:
+        unknown = [n for n in store.names if n not in store.published]
+        if unknown:
+            print(
+                f"error: not published in this workspace: "
+                f"{', '.join(unknown)}",
+                file=sys.stderr,
+            )
+            return 2
+        targets = store.names or store.published
         if not targets:
             print(
                 "error: workspace holds no published VMIs",
                 file=sys.stderr,
             )
-            _finish(system, args)
             return 2
+        count = "" if store.fresh else f"{len(targets)} "
         print(
-            f"workspace holds {len(published)} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); retrieving "
-            f"{len(targets)} x{args.repeat}"
+            f"{store.holds} "
+            f"({store.system.repository_size / 1e9:.3f} GB); "
+            f"retrieving {count}x{args.repeat}"
         )
         requests = [n for _ in range(args.repeat) for n in targets]
-    else:
-        vmis = _resolve_corpus(args)
-        if isinstance(vmis, int):
-            return vmis
-        system = _make_system(args)
-        published = system.publish_many(vmis)
-        if published.n_failed:
-            print(published.render(), file=sys.stderr)
-            return 1
-        print(
-            f"published {published.n_published} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); retrieving "
-            f"x{args.repeat}"
-        )
-        requests = [
-            r.name
-            for _ in range(args.repeat)
-            for r in system.repo.vmi_records()
-        ]
-
-    try:
-        return _run_retrieval(system, requests, args)
-    finally:
-        _finish(system, args)
+        return _run_retrieval(store.system, requests, args)
 
 
 def _run_retrieval(system, requests, args) -> int:
@@ -786,24 +808,6 @@ def _run_retrieval(system, requests, args) -> int:
     return 1 if report.n_failed else 0
 
 
-def _published_system(args):
-    """Publish the selected corpus into a fresh system.
-
-    Returns ``(system, published names)`` or an exit code on failure.
-    """
-    from repro.core.system import Expelliarmus
-
-    vmis = _resolve_corpus(args)
-    if isinstance(vmis, int):
-        return vmis
-    system = Expelliarmus()
-    published = system.publish_many(vmis)
-    if published.n_failed:
-        print(published.render(), file=sys.stderr)
-        return 1
-    return system, system.published_names()
-
-
 def _churn_victims(names, pct: int, seed: str) -> list[str]:
     """A deterministic ``pct``-percent subset of published names."""
     from repro.ids import content_id
@@ -817,170 +821,25 @@ def _churn_victims(names, pct: int, seed: str) -> list[str]:
     return sorted(ranked[:quota])
 
 
-def _cmd_delete(args) -> int:
-    if getattr(args, "workspace", None) is not None:
-        system = _make_system(args)
-        names = system.published_names()
-        if args.legacy:
-            victims = _legacy_victims(args)
-            if isinstance(victims, int):
-                _finish(system, args)
-                return victims
-        elif args.names:
-            # explicit victims; unknown names surface as per-item
-            # failures through the pipeline's isolation
-            victims = list(args.names)
-        else:
-            if not 0 < args.churn <= 100:
-                print(
-                    "error: --churn must be in (0, 100]",
-                    file=sys.stderr,
-                )
-                _finish(system, args)
-                return 2
-            victims = _churn_victims(names, args.churn, args.seed)
-        print(
-            f"workspace holds {len(names)} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); deleting "
-            f"{len(victims)}"
-        )
-    else:
-        if not 0 < args.churn <= 100:
-            print("error: --churn must be in (0, 100]", file=sys.stderr)
-            return 2
-        prepared = _published_system(args)
-        if isinstance(prepared, int):
-            return prepared
-        system, names = prepared
-        if args.legacy:
-            victims = _legacy_victims(args)
-            if isinstance(victims, int):
-                _finish(system, args)
-                return victims
-        else:
-            victims = _churn_victims(names, args.churn, args.seed)
-        print(
-            f"published {len(names)} VMIs "
-            f"({system.repository_size / 1e9:.3f} GB); deleting "
-            f"{len(victims)}"
-        )
-
-    def echo_progress(done, total, item):
-        status = "deleted" if item.ok else f"FAILED ({item.error})"
-        print(f"[{done:>4}/{total}] {item.name:<16} {status}")
-
-    threshold = (
-        int(args.gc_threshold_gb * 1e9)
-        if args.gc_threshold_gb is not None
-        else None
-    )
-    try:
-        report = system.delete_many(
-            victims,
-            progress=echo_progress if args.progress else None,
-            gc_threshold_bytes=threshold,
-            checkpoint_every_ops=getattr(args, "checkpoint_every", None),
-        )
-        print(report.render())
-        return 1 if report.n_failed else 0
-    finally:
-        _finish(system, args)
+#: the verbs with a ``--churn`` flag: its lowest accepted value and
+#: how the error message writes the accepted range
+_CHURN_RANGES = {
+    "delete": (1, "(0, 100]"),
+    "gc": (1, "(0, 100]"),
+    "fsck": (0, "[0, 100]"),
+}
 
 
-def _print_gc_report(report) -> None:
-    print(
-        f"gc ({report.mode}): reclaimed "
-        f"{report.reclaimed_bytes / 1e9:.3f} GB — "
-        f"{report.removed_packages} packages, "
-        f"{report.removed_user_data} user data, "
-        f"{report.removed_bases} bases"
-    )
-    print(
-        f"  work: {report.graph_rebuilds} master graphs rebuilt, "
-        f"{report.records_scanned} records scanned, "
-        f"{report.gc_seconds:.2f} simulated s"
-    )
+def _churn_pct(args) -> int:
+    """``--churn`` once validated; exits 2 outside the verb's range."""
+    lowest, accepted = _CHURN_RANGES[args.command]
+    if not lowest <= args.churn <= 100:
+        print(f"error: --churn must be in {accepted}", file=sys.stderr)
+        raise _Exit(2)
+    return args.churn
 
 
-def _cmd_gc(args) -> int:
-    if getattr(args, "workspace", None) is not None:
-        # collect the workspace's pending garbage — churned by earlier
-        # delete invocations, possibly in other processes
-        system = _make_system(args)
-        try:
-            reclaimable = system.repo.reclaimable_bytes()
-            print(
-                f"workspace holds "
-                f"{len(system.published_names())} VMIs; "
-                f"{reclaimable / 1e9:.3f} GB reclaimable"
-            )
-            _print_gc_report(system.garbage_collect(full=args.full))
-            return 0
-        finally:
-            _finish(system, args)
-
-    if not 0 < args.churn <= 100:
-        print("error: --churn must be in (0, 100]", file=sys.stderr)
-        return 2
-    prepared = _published_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system, names = prepared
-    victims = _churn_victims(names, args.churn, args.seed)
-    deleted = system.delete_many(victims)
-    if deleted.n_failed:
-        print(deleted.render(), file=sys.stderr)
-        return 1
-    reclaimable = system.repo.reclaimable_bytes()
-    print(
-        f"published {len(names)} VMIs, deleted {len(victims)}; "
-        f"{reclaimable / 1e9:.3f} GB reclaimable"
-    )
-    _print_gc_report(system.garbage_collect(full=args.full))
-    return 0
-
-
-def _cmd_fsck(args) -> int:
-    if getattr(args, "workspace", None) is not None:
-        # the cross-process integrity gate: check the store exactly as
-        # the last invocation left it
-        system = _make_system(args)
-        try:
-            return _print_fsck_report(system.fsck())
-        finally:
-            _finish(system, args)
-
-    if not 0 <= args.churn <= 100:
-        print("error: --churn must be in [0, 100]", file=sys.stderr)
-        return 2
-    prepared = _published_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system, names = prepared
-    if args.churn:
-        victims = _churn_victims(names, args.churn, args.seed)
-        system.delete_many(victims)
-        system.garbage_collect()
-    return _print_fsck_report(system.fsck())
-
-
-def _print_fsck_report(report) -> int:
-    if report.clean:
-        print(
-            f"repository clean: {report.checked_blobs} blobs, "
-            f"{report.checked_vmis} VMIs checked"
-        )
-        return 0
-    print(
-        f"{len(report.findings)} inconsistencies found:",
-        file=sys.stderr,
-    )
-    for finding in report.findings:
-        print(f"  {finding}", file=sys.stderr)
-    return 1
-
-
-def _legacy_victims(args):
+def _legacy_victims(args) -> list[str]:
     """The split regime's version-pinned legacy builds, or exit 2."""
     from repro.workloads.generator import scale_corpus
 
@@ -990,7 +849,7 @@ def _legacy_victims(args):
             "version-pinned builds; it needs --scale and --split-pct",
             file=sys.stderr,
         )
-        return 2
+        raise _Exit(2)
     corpus = scale_corpus(
         args.scale,
         n_families=args.families,
@@ -1001,58 +860,145 @@ def _legacy_victims(args):
     return list(corpus.legacy_names())
 
 
-def _maintenance_system(args):
-    """The system mine/rebase operates on, or an exit code.
+def _delete_churn(store, args) -> None:
+    """Fresh-mode prelude of ``gc``: delete the ``--churn`` victims."""
+    victims = _churn_victims(store.published, args.churn, args.seed)
+    deleted = store.system.delete_many(victims)
+    if deleted.n_failed:
+        print(deleted.render(), file=sys.stderr)
+        raise _Exit(1)
+    store.holds += f", deleted {len(victims)}"
 
-    Workspace mode opens the existing store exactly as earlier
-    invocations left it.  Otherwise the selected corpus is published
-    fresh and, in the split regime, its version-pinned legacy builds
-    are deleted first — the churn that strands mergeable generation
-    pairs for the miner to find.
-    """
-    if getattr(args, "workspace", None) is not None:
-        return _make_system(args)
-    prepared = _published_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system, names = prepared
-    if (
-        args.scale is not None
-        and getattr(args, "split_pct", 0)
-        and not args.keep_legacy
-    ):
-        victims = _legacy_victims(args)
-        assert not isinstance(victims, int)
-        deleted = system.delete_many(victims)
+
+def _collect_churn(store, args) -> None:
+    """Fresh-mode prelude of ``fsck``: churn and collect, so the check
+    covers the lifecycle."""
+    if args.churn:
+        _delete_churn(store, args)
+        store.system.garbage_collect()
+
+
+def _delete_legacy(store, args) -> None:
+    """Fresh-mode prelude of ``mine``/``rebase`` in the split regime:
+    delete the version-pinned legacy builds — the churn that strands
+    mergeable generation pairs for the miner to find."""
+    if args.scale is None or not args.split_pct or args.keep_legacy:
+        return
+    deleted = store.system.delete_many(_legacy_victims(args))
+    print(f"{store.holds}, deleted {deleted.n_deleted} legacy build(s)")
+
+
+#: fresh mode's seeding per verb: the batch order the selected corpus
+#: is published in (``stats`` keeps the names' order), then the
+#: verb's prelude
+_SEEDING = {
+    "retrieve-many": ("dedup", None),
+    "delete": ("dedup", None),
+    "gc": ("dedup", _delete_churn),
+    "fsck": ("dedup", _collect_churn),
+    "mine": ("dedup", _delete_legacy),
+    "rebase": ("dedup", _delete_legacy),
+    "stats": ("given", None),
+}
+
+
+def _cmd_delete(args) -> int:
+    with _store(args) as store:
+        if args.legacy:
+            victims = _legacy_victims(args)
+        elif store.names:
+            # explicit victims; unknown names surface as per-item
+            # failures through the pipeline's isolation
+            victims = list(store.names)
+        else:
+            victims = _churn_victims(
+                store.published, _churn_pct(args), args.seed
+            )
         print(
-            f"published {len(names)} VMIs, deleted "
-            f"{deleted.n_deleted} legacy build(s)"
+            f"{store.holds} "
+            f"({store.system.repository_size / 1e9:.3f} GB); "
+            f"deleting {len(victims)}"
         )
-    return system
+
+        def echo_progress(done, total, item):
+            status = "deleted" if item.ok else f"FAILED ({item.error})"
+            print(f"[{done:>4}/{total}] {item.name:<16} {status}")
+
+        threshold = (
+            int(args.gc_threshold_gb * 1e9)
+            if args.gc_threshold_gb is not None
+            else None
+        )
+        report = store.system.delete_many(
+            victims,
+            progress=echo_progress if args.progress else None,
+            gc_threshold_bytes=threshold,
+            checkpoint_every_ops=getattr(args, "checkpoint_every", None),
+        )
+        print(report.render())
+        return 1 if report.n_failed else 0
+
+
+def _print_gc(result: dict) -> None:
+    """A GC pass, from its wire form (local and remote alike)."""
+    print(
+        f"gc ({result['mode']}): reclaimed "
+        f"{result['reclaimed_bytes'] / 1e9:.3f} GB — "
+        f"{result['removed_packages']} packages, "
+        f"{result['removed_user_data']} user data, "
+        f"{result['removed_bases']} bases"
+    )
+    print(
+        f"  work: {result['graph_rebuilds']} master graphs rebuilt, "
+        f"{result['records_scanned']} records scanned, "
+        f"{result['simulated_seconds']:.2f} simulated s"
+    )
+
+
+def _print_fsck(result: dict) -> int:
+    """An fsck run, from its wire form; the exit code it implies."""
+    if result["clean"]:
+        print(
+            f"repository clean: {result['checked_blobs']} blobs, "
+            f"{result['checked_vmis']} VMIs checked"
+        )
+        return 0
+    print(
+        f"{len(result['findings'])} inconsistencies found:",
+        file=sys.stderr,
+    )
+    for finding in result["findings"]:
+        print(f"  {finding}", file=sys.stderr)
+    return 1
+
+
+def _cmd_gc(args) -> int:
+    from repro.service.protocol import gc_result
+
+    with _store(args) as store:
+        reclaimable = store.system.repo.reclaimable_bytes()
+        print(f"{store.holds}; {reclaimable / 1e9:.3f} GB reclaimable")
+        _print_gc(gc_result(store.system.garbage_collect(full=args.full)))
+        return 0
+
+
+def _cmd_fsck(args) -> int:
+    from repro.service.protocol import fsck_result
+
+    with _store(args) as store:
+        return _print_fsck(fsck_result(store.system.fsck()))
 
 
 def _cmd_mine(args) -> int:
-    prepared = _maintenance_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system = prepared
-    try:
-        print(system.mine_bases().render())
+    with _store(args) as store:
+        print(store.system.mine_bases().render())
         return 0
-    finally:
-        _finish(system, args)
 
 
 def _cmd_rebase(args) -> int:
-    prepared = _maintenance_system(args)
-    if isinstance(prepared, int):
-        return prepared
-    system = prepared
-    try:
-        print(system.rebase().render())
+    with _store(args) as store:
+        print(store.system.rebase().render())
         return 0
-    finally:
-        _finish(system, args)
 
 
 def _cmd_corpus() -> int:
@@ -1073,25 +1019,14 @@ def _cmd_corpus() -> int:
 
 def _cmd_stats(args) -> int:
     from repro.analysis.storage_report import storage_report
-    from repro.workloads.generator import standard_corpus
-    from repro.workloads.vmi_specs import TABLE_II_ORDER
+    from repro.repository.federation import FederatedRepository
 
-    system = _make_system(args)
-    try:
-        if getattr(args, "workspace", None) is None:
-            corpus = standard_corpus()
-            for name in args.names or TABLE_II_ORDER:
-                system.publish(corpus.build(name))
-        from repro.repository.federation import FederatedRepository
-
-        if isinstance(system, FederatedRepository):
-            _print_federation_stats(system)
+    with _store(args) as store:
+        if isinstance(store.system, FederatedRepository):
+            _print_federation_stats(store.system)
         else:
-            report = storage_report(system.repo)
-            _print_stats(report)
+            _print_stats(storage_report(store.system.repo))
         return 0
-    finally:
-        _finish(system, args)
 
 
 def _print_federation_stats(fed) -> None:
@@ -1129,14 +1064,6 @@ def _print_stats(report) -> None:
               f"amortized {pkg.amortized_size / 1e6:.1f} MB/VMI")
 
 
-def _is_federation_root(path) -> bool:
-    from pathlib import Path
-
-    from repro.repository.federation import MANIFEST_NAME
-
-    return (Path(path) / MANIFEST_NAME).exists()
-
-
 def _require_workspace(args) -> str | None:
     path = getattr(args, "workspace", None)
     if path is None:
@@ -1150,33 +1077,29 @@ def _require_workspace(args) -> str | None:
 def _cmd_snapshot(args) -> int:
     if _require_workspace(args) is None:
         return 2
-    system = _make_system(args)
-    try:
-        ops = system.workspace.ops_since_checkpoint
-        size = system.save()
+    with _store(args) as store:
+        ops = store.system.workspace.ops_since_checkpoint
+        size = store.system.save()
         print(
             f"checkpoint written: {size / 1e6:.2f} MB snapshot, "
             f"{ops} journaled op(s) folded in; next reopen replays 0"
         )
         return 0
-    finally:
-        _finish(system, args)
 
 
 def _cmd_compact(args) -> int:
+    from repro.service.protocol import gc_result
+
     if _require_workspace(args) is None:
         return 2
-    system = _make_system(args)
-    try:
-        _print_gc_report(system.garbage_collect(full=args.full))
-        size = system.save()
+    with _store(args) as store:
+        _print_gc(gc_result(store.system.garbage_collect(full=args.full)))
+        size = store.system.save()
         print(
             f"checkpoint written: {size / 1e6:.2f} MB snapshot, "
             f"op-log truncated"
         )
         return 0
-    finally:
-        _finish(system, args)
 
 
 def _cmd_serve(args) -> int:
@@ -1219,19 +1142,7 @@ def _cmd_serve(args) -> int:
             else args.checkpoint_idle
         ),
     )
-    path = getattr(args, "workspace", None)
-    shards = getattr(args, "shards", None)
-    if shards is not None or (
-        path is not None and _is_federation_root(path)
-    ):
-        # the daemon fronts a federation: same protocol, N shards
-        server = ImageServer(_make_system(args), config)
-    elif path is not None:
-        server = ImageServer.for_workspace(path, config)
-    else:
-        from repro.core.system import Expelliarmus
-
-        server = ImageServer(Expelliarmus(), config)
+    server = ImageServer(_make_system(args), config)
     host, port = server.start()
     print(f"listening on {host}:{port}", flush=True)
     if args.port_file:
@@ -1263,18 +1174,17 @@ def _cmd_serve(args) -> int:
 
 
 def _remote_source_items(args):
-    """(source descriptor, item list) from the corpus flags, or ``2``.
+    """(source descriptor, item list) from the corpus flags.
 
     Remote publishes ship corpus *references*; the daemon builds the
     images (the corpora are pure functions of their configuration).
     """
     from repro.service.protocol import scale_source, table2_source
-    from repro.workloads.vmi_specs import TABLE_II_ORDER
 
     if getattr(args, "scale", None) is not None:
         if args.scale < 1:
             print("error: --scale must be positive", file=sys.stderr)
-            return 2
+            raise _Exit(2)
         return (
             scale_source(
                 args.scale,
@@ -1283,16 +1193,7 @@ def _remote_source_items(args):
             ),
             list(range(args.scale)),
         )
-    names = list(getattr(args, "names", None) or TABLE_II_ORDER)
-    unknown = [n for n in names if n not in TABLE_II_ORDER]
-    if unknown:
-        print(
-            f"error: unknown corpus image(s): {', '.join(unknown)} "
-            f"(see 'expelliarmus corpus')",
-            file=sys.stderr,
-        )
-        return 2
-    return table2_source(), names
+    return table2_source(), _table2_names(args)
 
 
 def _remote_publish(client, args) -> int:
@@ -1311,10 +1212,7 @@ def _remote_publish(client, args) -> int:
 
 
 def _remote_publish_many(client, args) -> int:
-    prepared = _remote_source_items(args)
-    if isinstance(prepared, int):
-        return prepared
-    source, items = prepared
+    source, items = _remote_source_items(args)
     result = client.publish_many(source, items)
     for row in result["results"]:
         if "error" in row:
@@ -1398,37 +1296,12 @@ def _remote_delete(client, args) -> int:
 
 
 def _remote_gc(client, args) -> int:
-    result = client.gc(full=args.full)
-    print(
-        f"gc ({result['mode']}): reclaimed "
-        f"{result['reclaimed_bytes'] / 1e9:.3f} GB — "
-        f"{result['removed_packages']} packages, "
-        f"{result['removed_user_data']} user data, "
-        f"{result['removed_bases']} bases"
-    )
-    print(
-        f"  work: {result['graph_rebuilds']} master graphs rebuilt, "
-        f"{result['records_scanned']} records scanned, "
-        f"{result['simulated_seconds']:.2f} simulated s"
-    )
+    _print_gc(client.gc(full=args.full))
     return 0
 
 
 def _remote_fsck(client, args) -> int:
-    result = client.fsck()
-    if result["clean"]:
-        print(
-            f"repository clean: {result['checked_blobs']} blobs, "
-            f"{result['checked_vmis']} VMIs checked"
-        )
-        return 0
-    print(
-        f"{len(result['findings'])} inconsistencies found:",
-        file=sys.stderr,
-    )
-    for finding in result["findings"]:
-        print(f"  {finding}", file=sys.stderr)
-    return 1
+    return _print_fsck(client.fsck())
 
 
 def _remote_stats(client, args) -> int:
@@ -1581,21 +1454,23 @@ def main(argv: Sequence[str] | None = None) -> int:
         "compact": _cmd_compact,
         "serve": _cmd_serve,
     }
-    if getattr(args, "remote", None) is not None:
-        return _dispatch_remote(args)
-    if args.command == "shutdown":
-        print(
-            "error: shutdown requires --remote HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
     try:
+        if getattr(args, "remote", None) is not None:
+            return _dispatch_remote(args)
+        if args.command == "shutdown":
+            print(
+                "error: shutdown requires --remote HOST:PORT",
+                file=sys.stderr,
+            )
+            return 2
         if args.command == "experiments":
             return _cmd_experiments(args.ids, figures=args.figures)
         if args.command == "corpus":
             return _cmd_corpus()
         if args.command in dispatch:
             return dispatch[args.command](args)
+    except _Exit as exc:
+        return exc.code
     except WorkspaceError as exc:
         # a broken, mismatched or (for serve) already-locked durable
         # store is an operator error, not a crash: one line on stderr

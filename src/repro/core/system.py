@@ -85,29 +85,39 @@ class Expelliarmus:
 
     @classmethod
     def open(cls, path, *, federation: int | None = None, **kwargs):
-        """Open (or initialise) a durable workspace at ``path``.
+        """Open (or initialise) the durable store at ``path``.
 
-        Reopen = last snapshot + write-ahead op-log replay, so the
-        cost scales with the ops since the last checkpoint, not with
-        the repository.  Every subsequent state-changing operation is
-        journaled before it applies — the returned system survives
-        process exits and crashes without an explicit save.
+        The directory says what it holds, and this is the one place
+        that reads it:
 
-        ``federation=N`` opens ``path`` as a *federation root* of N
-        shard workspaces instead and returns a
-        :class:`~repro.repository.federation.FederatedRepository` —
-        the same facade surface (publish/retrieve/delete/GC/fsck),
-        scaled out across shards.
+        * a *federation root* (it holds ``federation.json``) opens as
+          a :class:`~repro.repository.federation.FederatedRepository`
+          with its persisted shard count — the same facade surface
+          (publish/retrieve/delete/GC/fsck), scaled out across shard
+          workspaces;
+        * anything else is a plain workspace: reopen = last snapshot +
+          write-ahead op-log replay, so the cost scales with the ops
+          since the last checkpoint, not with the repository;
+        * a new or empty directory becomes a plain workspace, or with
+          ``federation=N`` a federation root of N shards.
+
+        Every subsequent state-changing operation is journaled before
+        it applies — the returned system survives process exits and
+        crashes without an explicit save.
 
         Raises:
             WorkspaceError: the directory holds a mismatched or
-                unreadable snapshot/op-log pair (or, federated, a
-                root whose persisted shard count contradicts
-                ``federation``).
+                unreadable snapshot/op-log pair, a federation root
+                whose persisted shard count contradicts
+                ``federation``, or (with ``federation``) a plain
+                workspace — refused before anything is written.
         """
-        if federation is not None:
-            from repro.repository.federation import FederatedRepository
+        from repro.repository.federation import (
+            MANIFEST_NAME,
+            FederatedRepository,
+        )
 
+        if federation is not None or (Path(path) / MANIFEST_NAME).exists():
             return FederatedRepository.open(
                 path, shards=federation, **kwargs
             )

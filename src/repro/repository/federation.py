@@ -70,6 +70,7 @@ from repro.repository.fsck import FsckReport, Inconsistency
 from repro.repository.gc import GCReport
 from repro.repository.locking import RepositoryLock
 from repro.repository.master_graphs import master_from_state, master_state
+from repro.repository.workspace import Workspace
 from repro.service.batch import BatchItemResult
 from repro.service.maintenance import DeleteItemResult, MaintenanceReport
 from repro.service.rebase import RebaseReport
@@ -228,9 +229,12 @@ def _merge_stats(deltas, empty):
 class FederatedRepository:
     """N shard repositories behind one family-affine router.
 
-    In-memory by default; :meth:`open` (or ``Expelliarmus.open(path,
-    federation=N)``) roots every shard in its own durable workspace
-    under one federation directory.  The facade surface matches
+    In-memory by default; :meth:`open` roots every shard in its own
+    durable workspace under one federation directory.  That root's
+    ``federation.json`` makes it self-describing:
+    ``Expelliarmus.open(root)`` reopens it as a federation without
+    being told, and a directory that already holds a plain workspace
+    is refused as a root.  The facade surface matches
     :class:`~repro.core.system.Expelliarmus`, so callers scale out by
     swapping the constructor.
 
@@ -258,15 +262,22 @@ class FederatedRepository:
         Raises:
             ValueError: non-positive ``shards``.
             WorkspaceError: ``root`` holds a federation whose persisted
-                shard count contradicts ``shards``.
+                shard count contradicts ``shards``, or a plain
+                workspace (refused before anything is written; a
+                manifest wins over stray workspace files).
         """
         self.clock = clock if clock is not None else SimulatedClock()
         self.root = Path(root) if root is not None else None
         self._overrides: dict[Family, int] = {}
         persisted: int | None = None
         if self.root is not None:
-            self.root.mkdir(parents=True, exist_ok=True)
             persisted = self._read_manifest()
+            if persisted is None and Workspace(self.root).is_initialized():
+                raise WorkspaceError(
+                    f"{self.root} holds a plain workspace, not a "
+                    f"federation root; open it without a shard count"
+                )
+            self.root.mkdir(parents=True, exist_ok=True)
         if persisted is not None:
             if shards is not None and shards != persisted:
                 raise WorkspaceError(
@@ -312,7 +323,8 @@ class FederatedRepository:
 
         Raises:
             WorkspaceError: persisted shard count contradicts
-                ``shards``, or a shard workspace is corrupt/locked.
+                ``shards``, ``path`` holds a plain workspace, or a
+                shard workspace is corrupt/locked.
         """
         return cls(root=path, shards=shards, **system_kwargs)
 

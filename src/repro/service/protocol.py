@@ -61,6 +61,8 @@ __all__ = [
     "REQUEST_OPS",
     "error_payload",
     "exception_from_payload",
+    "fsck_result",
+    "gc_result",
     "make_request",
     "manifest_digest",
     "ok_payload",
@@ -236,6 +238,33 @@ def manifest_digest(manifest) -> str:
     h.update(manifest.content_ids.tobytes())
     h.update(manifest.sizes.tobytes())
     return h.hexdigest()
+
+
+def gc_result(report) -> dict:
+    """The ``gc`` op's result: a :class:`~repro.repository.gc.GCReport`
+    as it crosses the wire (the CLI prints local passes from it too)."""
+    return {
+        "mode": report.mode,
+        "reclaimed_bytes": report.reclaimed_bytes,
+        "removed_packages": report.removed_packages,
+        "removed_user_data": report.removed_user_data,
+        "removed_bases": report.removed_bases,
+        "records_scanned": report.records_scanned,
+        "graph_rebuilds": report.graph_rebuilds,
+        "simulated_seconds": report.gc_seconds,
+    }
+
+
+def fsck_result(report) -> dict:
+    """The repository part of the ``fsck`` op's result: a
+    :class:`~repro.repository.fsck.FsckReport` as it crosses the wire
+    (the server appends its own tenant-registry findings)."""
+    return {
+        "clean": report.clean,
+        "checked_blobs": report.checked_blobs,
+        "checked_vmis": report.checked_vmis,
+        "findings": [str(f) for f in report.findings],
+    }
 
 
 # ---------------------------------------------------------------------------

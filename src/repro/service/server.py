@@ -62,6 +62,8 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     REQUEST_OPS,
     error_payload,
+    fsck_result,
+    gc_result,
     manifest_digest,
     ok_payload,
     recv_message,
@@ -205,7 +207,9 @@ class ImageServer:
     def for_workspace(
         cls, path, config: ServerConfig | None = None
     ) -> "ImageServer":
-        """A server owning the durable workspace at ``path``.
+        """A server owning the durable store at ``path`` — a plain
+        workspace or a federation root, whichever the directory holds
+        (:meth:`Expelliarmus.open <repro.core.system.Expelliarmus.open>`).
 
         Raises:
             WorkspaceError: broken snapshot/op-log pair.
@@ -334,6 +338,8 @@ class ImageServer:
                 continue
             except OSError:
                 break
+            # set before stop() can see (and close) the socket
+            conn.settimeout(None)
             with self._conn_lock:
                 self._connections.add(conn)
             thread = threading.Thread(
@@ -345,7 +351,6 @@ class ImageServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         try:
-            conn.settimeout(None)
             while True:
                 try:
                     message = recv_message(conn)
@@ -353,6 +358,10 @@ class ImageServer:
                     # a framing violation poisons the stream: answer
                     # once (best effort), then hang up
                     self._respond(conn, error_payload(exc))
+                    return
+                except OSError:
+                    # stop() closed the socket under this reader: the
+                    # same hang-up as a clean end-of-stream
                     return
                 if message is None:
                     return
@@ -746,36 +755,22 @@ class ImageServer:
             report = self.system.garbage_collect(
                 full=bool(args.get("full", False))
             )
-        return {
-            "mode": report.mode,
-            "reclaimed_bytes": report.reclaimed_bytes,
-            "removed_packages": report.removed_packages,
-            "removed_user_data": report.removed_user_data,
-            "removed_bases": report.removed_bases,
-            "records_scanned": report.records_scanned,
-            "graph_rebuilds": report.graph_rebuilds,
-            "simulated_seconds": report.gc_seconds,
-        }
+        return gc_result(report)
 
     def _op_fsck(self, tenant, args) -> dict:
         with self.system.repo.lock.read():
-            report = self.system.fsck()
-        findings = [str(f) for f in report.findings]
+            result = fsck_result(self.system.fsck())
         # the refund clamp records every mismatched credit; surface it
         # alongside the repository checks instead of silently zeroing
         drift_bytes, drift_events = self.tenants.total_drift()
         if drift_events:
-            findings.append(
+            result["clean"] = False
+            result["findings"].append(
                 "[quota-drift] tenant-registry: "
                 f"{drift_events} refund event(s) clamped, "
                 f"{drift_bytes} byte(s) unaccounted"
             )
-        return {
-            "clean": report.clean and not drift_events,
-            "checked_blobs": report.checked_blobs,
-            "checked_vmis": report.checked_vmis,
-            "findings": findings,
-        }
+        return result
 
     def _op_stats(self, tenant, args) -> dict:
         with self.system.repo.lock.read():

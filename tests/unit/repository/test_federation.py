@@ -167,6 +167,38 @@ class TestDurability:
         assert again.published_names() == [CORPUS.build(0).name]
         again.close()
 
+    def _root_with_two(self, tmp_path):
+        root = tmp_path / "fed"
+        fed = FederatedRepository.open(root, shards=2)
+        _publish_range(fed, 2)
+        names = sorted(fed.published_names())
+        fed.close()
+        return root, names
+
+    def test_expelliarmus_open_reads_the_root_it_is_given(self, tmp_path):
+        from repro.service.server import ImageServer
+
+        root, names = self._root_with_two(tmp_path)
+        system = Expelliarmus.open(root)
+        assert isinstance(system, FederatedRepository)
+        assert sorted(system.published_names()) == names
+        system.close()
+        server = ImageServer.for_workspace(root)
+        assert sorted(server.system.published_names()) == names
+        server.system.close()
+        assert not (root / "lock").exists()
+        assert not (root / "oplog.bin").exists()
+
+    def test_manifest_wins_over_stray_workspace_files(self, tmp_path):
+        root, names = self._root_with_two(tmp_path)
+        (root / "oplog.bin").write_bytes(b"left by an older release")
+        (root / "lock").write_text("0")
+        system = Expelliarmus.open(root)
+        assert isinstance(system, FederatedRepository)
+        assert system.n_shards == 2
+        assert sorted(system.published_names()) == names
+        system.close()
+
 
 class TestRebalance:
     def test_rebalance_moves_family_and_preserves_state(self, tmp_path):

@@ -223,8 +223,13 @@ class TestLifecycleCommands:
         assert "1 inconsistencies found" in err
         assert "missing-blob" in err
 
-    def test_unknown_corpus_name_rejected(self, capsys):
-        assert main(["gc", "NoSuchImage"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [["gc", "NoSuchImage"], ["publish", "Bogus"], ["stats", "Bogus"]],
+        ids=["gc", "publish", "stats"],
+    )
+    def test_unknown_corpus_name_rejected(self, capsys, argv):
+        assert main(argv) == 2
         assert "unknown corpus image" in capsys.readouterr().err
 
 
@@ -396,3 +401,88 @@ class TestWorkspace:
         (ws / "oplog.bin").write_bytes(b"garbage not a pickle")
         assert main(["fsck", "--workspace", str(ws)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestShards:
+    """``--shards`` against fresh stores, federation roots and plain
+    workspaces: PATH says what it holds, a mismatch is one error line."""
+
+    SCALE = ["--scale", "24", "--families", "4"]
+
+    def _federation(self, capsys, tmp_path):
+        root = str(tmp_path / "fed")
+        assert main(
+            ["--workspace", root, "--shards", "2", "publish-many",
+             *self.SCALE]
+        ) == 0
+        assert "published 24/24 VMIs" in capsys.readouterr().out
+        return root
+
+    def test_federation_root_reopens_without_the_flag(
+        self, capsys, tmp_path
+    ):
+        root = self._federation(capsys, tmp_path)
+        assert main(["retrieve-many", "--workspace", root]) == 0
+        out = capsys.readouterr().out
+        assert "workspace holds 24 VMIs" in out
+        assert "retrieved 24/24 VMIs" in out
+
+    def test_mismatched_shard_count_is_one_line(self, capsys, tmp_path):
+        root = self._federation(capsys, tmp_path)
+        assert main(["--shards", "3", "stats", "--workspace", root]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "2 shard(s)" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_federation_root_fscks_clean(self, capsys, tmp_path):
+        root = self._federation(capsys, tmp_path)
+        assert main(["fsck", "--workspace", root]) == 0
+        assert "24 VMIs checked" in capsys.readouterr().out
+
+    def test_fresh_mode_honours_shards(self, capsys, monkeypatch):
+        from repro.repository.federation import FederatedRepository
+
+        checked = []
+        fsck = FederatedRepository.fsck
+
+        def spy(self):
+            checked.append(self.n_shards)
+            return fsck(self)
+
+        monkeypatch.setattr(FederatedRepository, "fsck", spy)
+        assert main(
+            ["--shards", "2", "fsck", *self.SCALE, "--churn", "20"]
+        ) == 0
+        assert checked == [2]
+        assert "repository clean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("opener", ["cli", "library"])
+    def test_plain_workspace_refuses_a_shard_count(
+        self, capsys, tmp_path, opener
+    ):
+        from repro.errors import WorkspaceError
+        from repro.repository.federation import FederatedRepository
+
+        ws = tmp_path / "store"
+        assert main(
+            ["publish-many", "--workspace", str(ws), "--scale", "12",
+             "--families", "3"]
+        ) == 0
+        capsys.readouterr()
+        listing = sorted(p.name for p in ws.iterdir())
+        if opener == "cli":
+            assert main(
+                ["--workspace", str(ws), "--shards", "2", "stats"]
+            ) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert len(err.splitlines()) == 1
+            assert "Traceback" not in err
+        else:
+            with pytest.raises(WorkspaceError, match="plain workspace"):
+                FederatedRepository.open(ws, shards=2)
+        assert sorted(p.name for p in ws.iterdir()) == listing
+        assert main(["stats", "--workspace", str(ws)]) == 0
+        assert "across 12 published VMIs" in capsys.readouterr().out
