@@ -7,7 +7,7 @@ compares those fresh summaries against the *committed* reference copies
 in ``benchmarks/baselines/`` and fails (exit 1) when any tracked metric
 regressed by more than the threshold — so a PR that quietly makes
 publishing scan more bases, retrieval derive more plans, GC rescan the
-world or the parallel overlap collapse is caught by CI instead of by
+world or the federation's overlap collapse is caught by CI instead of by
 the next reader of the trajectory artifacts.
 
 The gate has two tiers (``--tier``), each with its own registry,
@@ -32,12 +32,12 @@ silently skipped or crashed), a fresh file with no committed baseline
 (a new bench that nobody anchored), or a tracked series missing from
 either side all exit non-zero with a message naming the file.
 
-Refreshing baselines after an *intentional* perf change (the eight
+Refreshing baselines after an *intentional* perf change (the seven
 tracked bench files are named explicitly — pytest's default collection
 skips ``bench_*.py`` when handed a bare directory)::
 
     BENCH_JSON_DIR=benchmarks/baselines PYTHONPATH=src \
-        python -m pytest -q benchmarks/bench_{scale,retrieval,churn,persistence,parallel,server,federation,mining}.py -k smoke
+        python -m pytest -q benchmarks/bench_{scale,retrieval,churn,persistence,server,federation,mining}.py -k smoke
 
 then commit the updated JSON together with the change that explains it
 (README "Perf-regression gate" documents the workflow; wall-clock
@@ -85,12 +85,6 @@ TRACKED_METRICS: dict[str, tuple[tuple[str, str], ...]] = {
         # comparable across runners and stay untracked)
         ("ops-since-checkpoint", "lower"),
     ),
-    "bench-parallel": (
-        ("publish-critical-path-s", "lower"),
-        ("retrieve-critical-path-s", "lower"),
-        ("publish-speedup", "higher"),
-        ("retrieve-speedup", "higher"),
-    ),
     "bench-federation": (
         # critical-path scaling of the sharded federation under the
         # same traffic generator (the final series point is the widest
@@ -131,7 +125,6 @@ WALLCLOCK_METRICS: dict[str, tuple[tuple[str, str], ...]] = {
     "bench-scale": (("wall-publish-s", "lower"),),
     "bench-retrieval": (("wall-warm-batch-s", "lower"),),
     "bench-churn": (("wall-inc-gc-s", "lower"),),
-    "bench-parallel": (("wall-critical-path-s", "lower"),),
     "bench-mining": (("wall-rebase-s", "lower"),),
 }
 
@@ -389,7 +382,7 @@ def main(argv=None) -> int:
             "  BENCH_JSON_DIR=benchmarks/baselines PYTHONPATH=src "
             "python -m pytest -q "
             "benchmarks/bench_{scale,retrieval,churn,persistence,"
-            "parallel,server,federation,mining}.py -k smoke\n"
+            "server,federation,mining}.py -k smoke\n"
             "and commit the updated JSON with an explanation.",
             file=sys.stderr,
         )

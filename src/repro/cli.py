@@ -9,14 +9,10 @@ Subcommands:
 * ``publish-many [names...]`` — batch-publish a corpus through the
   scale-out pipeline (dedup-aware ordering, aggregated accounting);
   ``--scale N`` publishes an N-VMI generated multi-family corpus;
-  ``--parallel N`` runs the batch as N family-affine shards, one after
-  another, with modelled critical-path accounting;
 * ``retrieve-many [names...]`` — batch-retrieve published VMIs through
   the plan-caching pipeline (base-affine ordering, per-component
   accounting); ``--cold`` serves each request through the sequential
-  cache-less assembler for comparison; ``--parallel N`` serves N
-  base-affine shards, one after another, with modelled critical-path
-  accounting;
+  cache-less assembler for comparison;
 * ``delete`` — batch-delete VMIs through the maintenance pipeline
   (``--gc-threshold-gb`` interleaves incremental GC passes scheduled
   by the reclaimable-bytes estimate);
@@ -60,8 +56,8 @@ the namespace of ``--tenant`` (default ``default``).  VMIs are named
 by corpus reference (the server builds them), admission rejections and
 quota errors come back as machine-readable codes, and ``shutdown``
 drains the daemon gracefully.  ``--remote`` excludes ``--workspace``
-and the local-only execution flags (``--parallel``, ``--cold``,
-``--scan``) — the server owns those decisions.
+and the local-only execution flags (``--cold``, ``--scan``,
+``--shards``) — the server owns those decisions.
 """
 
 from __future__ import annotations
@@ -248,16 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="paper-literal full-scan base selection (no index)",
     )
     many.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "publish as N family-affine shards with modelled "
-            "critical-path accounting (default: one pipeline)"
-        ),
-    )
-    many.add_argument(
         "--progress",
         action="store_true",
         help="print one line per published image",
@@ -285,16 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cold",
         action="store_true",
         help="sequential cache-less retrieval (Algorithm 3 per request)",
-    )
-    ret.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "retrieve as N base-affine shards with modelled "
-            "critical-path accounting (default: one pipeline)"
-        ),
     )
     ret.add_argument(
         "--progress",
@@ -690,9 +666,6 @@ def _table2_names(args) -> list[str]:
 
 
 def _cmd_publish_many(args) -> int:
-    if args.parallel is not None and args.parallel < 1:
-        print("error: --parallel must be positive", file=sys.stderr)
-        return 2
     vmis = _resolve_corpus(args)
 
     def echo_progress(done, total, item):
@@ -708,7 +681,6 @@ def _cmd_publish_many(args) -> int:
             vmis,
             order=args.order,
             progress=echo_progress if args.progress else None,
-            parallelism=args.parallel,
         )
         print(report.render())
         return 1 if report.n_failed else 0
@@ -717,16 +689,6 @@ def _cmd_publish_many(args) -> int:
 def _cmd_retrieve_many(args) -> int:
     if args.repeat < 1:
         print("error: --repeat must be positive", file=sys.stderr)
-        return 2
-    if args.parallel is not None and args.parallel < 1:
-        print("error: --parallel must be positive", file=sys.stderr)
-        return 2
-    if args.cold and args.parallel is not None:
-        print(
-            "error: --cold is the sequential cache-less reference; "
-            "drop --parallel",
-            file=sys.stderr,
-        )
         return 2
 
     with _store(args) as store:
@@ -802,7 +764,6 @@ def _run_retrieval(system, requests, args) -> int:
         requests,
         order=args.order,
         progress=echo_progress if args.progress else None,
-        parallelism=args.parallel,
     )
     print(report.render())
     return 1 if report.n_failed else 0
@@ -1391,7 +1352,7 @@ def _dispatch_remote(args) -> int:
             file=sys.stderr,
         )
         return 2
-    for flag in ("parallel", "cold", "scan", "shards", "split_pct"):
+    for flag in ("cold", "scan", "shards", "split_pct"):
         if getattr(args, flag, None):
             print(
                 f"error: --{flag.replace('_', '-')} is a "

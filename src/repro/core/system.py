@@ -190,7 +190,6 @@ class Expelliarmus:
         order: str = "dedup",
         progress=None,
         on_error: str = "continue",
-        parallelism: int | None = None,
     ):
         """Batch-publish a corpus through the scale-out pipeline.
 
@@ -198,22 +197,7 @@ class Expelliarmus:
         preserves arrival order), isolates per-item failures and returns
         the aggregated :class:`~repro.service.batch.BatchPublishReport`
         (simulated seconds, bytes, dedup counts, Algorithm 2 work).
-
-        ``parallelism=N`` runs the batch through the sharded executor
-        instead (:class:`~repro.service.parallel.ParallelPublisher`):
-        N family-affine shards run one after another, with per-shard
-        (modelled) critical-path accounting in the returned
-        :class:`~repro.service.parallel.ParallelPublishReport`.  The
-        stored outcome is identical to the sequential pipeline's.
         """
-        if parallelism is not None:
-            from repro.service.parallel import ParallelPublisher
-
-            return ParallelPublisher(
-                self.publisher, parallelism=parallelism
-            ).publish_many(
-                vmis, order=order, progress=progress, on_error=on_error
-            )
         from repro.service.batch import BatchPublisher
 
         return BatchPublisher(self.publisher).publish_many(
@@ -231,7 +215,6 @@ class Expelliarmus:
         order: str = "affine",
         progress=None,
         on_error: str = "continue",
-        parallelism: int | None = None,
     ):
         """Batch-retrieve through the scale-out pipeline.
 
@@ -244,21 +227,7 @@ class Expelliarmus:
         BatchRetrieveReport`.  Assembled VMIs are observationally
         identical to sequential :meth:`retrieve` — only the charged
         cost differs.
-
-        ``parallelism=N`` serves the batch through the sharded executor
-        instead (:class:`~repro.service.parallel.ParallelRetriever`):
-        N base-affine shards run one after another, with per-shard
-        (modelled) critical-path accounting in the returned
-        :class:`~repro.service.parallel.ParallelRetrieveReport`.
         """
-        if parallelism is not None:
-            from repro.service.parallel import ParallelRetriever
-
-            return ParallelRetriever(
-                self.planner, parallelism=parallelism
-            ).retrieve_many(
-                requests, order=order, progress=progress, on_error=on_error
-            )
         from repro.service.retrieval import BatchRetriever
 
         return BatchRetriever(self.planner).retrieve_many(

@@ -10,11 +10,10 @@ outcome byte-identical to a single repository:
   :meth:`~repro.repository.repo.Repository.base_images_matching`, which
   never crosses families.  The router therefore consistent-hashes whole
   families onto shards (rendezvous hashing over
-  :func:`~repro.ids.content_id`), the same never-split-a-family
-  affinity contract :func:`~repro.service.parallel.plan_shards` gives
-  a sharded batch.  Because every one of a family's publishes lands on
-  the one shard holding that family's bases, per-shard Algorithm 2
-  sees exactly the candidate set a single repository would — so base
+  :func:`~repro.ids.content_id`), so a family is never split.  Because
+  every one of a family's publishes lands on the one shard holding
+  that family's bases, per-shard Algorithm 2 sees exactly the
+  candidate set a single repository would — so base
   evolution, dedup decisions and retrieval manifests match the
   single-repository run, and the union of the shards' content-addressed
   blobs equals the single repository's blob set (the differential
@@ -43,14 +42,17 @@ close), so the CLI and the image server front a federation unchanged.
 All shard systems share one :class:`~repro.sim.clock.SimulatedClock`.
 The ``*_many`` pipelines run the shards one after another through
 :func:`~repro.service.parallel.run_shards`, and their reports carry
-per-shard :class:`~repro.service.parallel.ShardAccount` rows, so the
-critical-path speedup vs shard count is read off the same overlap
-model the sharded single-repository pipeline uses.
+per-shard :class:`~repro.service.parallel.ShardAccount` rows: the
+federation is the one sharded batch path, and the modelled
+critical-path speedup vs shard count is read off those rows.  A batch
+that raises part-way re-derives the routing from the shards, which
+keep whatever the batch stored or deleted before the raise.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -386,6 +388,16 @@ class FederatedRepository:
             for record in repo.vmi_records():
                 self._names.setdefault(record.name, index)
 
+    @contextmanager
+    def _resync_on_raise(self):
+        """Rebuild the routing when a batch raises part-way: the shards
+        keep what the batch stored or deleted before the raise."""
+        try:
+            yield
+        except BaseException:
+            self._rebuild_routing()
+            raise
+
     # ------------------------------------------------------------------
     # manifest + rebalance journal persistence
     # ------------------------------------------------------------------
@@ -507,15 +519,11 @@ class FederatedRepository:
         order: str = "dedup",
         progress=None,
         on_error: str = "continue",
-        parallelism: int | None = None,
     ) -> ParallelPublishReport:
         """Batch-publish across the shards, one shard after another.
 
-        Same contract as :meth:`Expelliarmus.publish_many`; the
-        federation's parallelism *is* its shard count, so
-        ``parallelism`` is accepted for signature compatibility and
-        ignored.  Routing replaces :func:`plan_shards`: items go to
-        their family's home shard, which keeps dedup-relevant order
+        Same contract as :meth:`Expelliarmus.publish_many`.  Items go
+        to their family's home shard, which keeps dedup-relevant order
         within each family exactly as the single-repository pipeline
         would (stable sort, same keys).
         """
@@ -524,7 +532,7 @@ class FederatedRepository:
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
         items = list(enumerate(vmis))
-        with self.lock.write():
+        with self.lock.write(), self._resync_on_raise():
             bytes_before = self.total_bytes()
             pre_failures: list[BatchItemResult] = []
             per_shard: list[list] = [[] for _ in range(self.n_shards)]
@@ -599,14 +607,12 @@ class FederatedRepository:
         order: str = "affine",
         progress=None,
         on_error: str = "continue",
-        parallelism: int | None = None,
     ) -> ParallelRetrieveReport:
         """Batch-retrieve across the shards, one shard after another.
 
-        Same contract as :meth:`Expelliarmus.retrieve_many`
-        (``parallelism`` accepted and ignored — the shard count is the
-        parallelism); names resolve through the router, request
-        objects route by their recorded name.
+        Same contract as :meth:`Expelliarmus.retrieve_many`; names
+        resolve through the router, request objects route by their
+        recorded name.
         """
         if order not in ("affine", "given"):
             raise ValueError(f"unknown batch order {order!r}")
@@ -659,7 +665,7 @@ class FederatedRepository:
         if on_error not in ("continue", "raise"):
             raise ValueError(f"unknown error policy {on_error!r}")
         names = list(names)
-        with self.lock.write():
+        with self.lock.write(), self._resync_on_raise():
             bytes_before = self.total_bytes()
             unresolved, per_shard = self._route_names(
                 names,
@@ -955,7 +961,7 @@ class FederatedRepository:
             self._rebuild_routing()
             return RebalanceReport(
                 family=family,
-                source=source if source != target else source,
+                source=source,
                 target=target,
                 moved_vmis=moved_vmis,
                 moved_bases=moved_bases,

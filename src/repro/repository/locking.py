@@ -2,7 +2,7 @@
 
 One :class:`RepositoryLock` guards one :class:`~repro.repository.repo.
 Repository`: a reentrant reader-writer lock giving the coarse
-transaction model the parallel service layer builds on —
+transaction model the service layer builds on —
 
 * **writes are exclusive.**  A state-changing operation (a whole
   publish, delete, GC pass — not a single primitive) runs under
@@ -27,11 +27,12 @@ transaction model the parallel service layer builds on —
 
 The lock is deliberately *coarse*: the paper's repository is a single
 SQLite-plus-blobstore node, and one exclusive writer matches both its
-consistency model and SQLite's own write serialization.  Parallel
-throughput comes from overlapping the simulated I/O of independent
-shards (see :mod:`repro.service.parallel`), not from interleaving
-mutations — which is exactly how the differential suite can demand
-parallel ≡ sequential, byte for byte.
+consistency model and SQLite's own write serialization.  Scale-out
+comes from the federation's independent shard repositories, each with
+its own lock (see :mod:`repro.repository.federation`), and its modelled
+overlap of their simulated I/O, not from interleaving mutations — which
+is exactly how the differential suite can demand federation ≡ single
+repository, byte for byte.
 """
 
 from __future__ import annotations

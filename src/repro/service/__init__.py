@@ -37,13 +37,14 @@ read-heavy traffic:
   cost accounting: the Figure-5a component stack for the batch plus
   the planner's plan-cache and base-cache work counters.
 
-:mod:`repro.service.parallel` runs both pipelines *sharded*:
-:class:`~repro.service.parallel.ParallelPublisher` and
-:class:`~repro.service.parallel.ParallelRetriever` split a batch by
-base/family affinity (:func:`~repro.service.parallel.plan_shards`), run
-the shards one after another through the pipelines above, and report
-the modelled critical-path (overlapped) simulated time per shard on top
-of the sequential reports.
+:mod:`repro.service.parallel` runs both pipelines *sharded* for the
+federation (:class:`~repro.repository.federation.FederatedRepository`):
+:func:`~repro.service.parallel.run_shards` runs the routed shards one
+after another through the pipelines above, and
+:class:`~repro.service.parallel.ParallelPublishReport` /
+:class:`~repro.service.parallel.ParallelRetrieveReport` add the
+modelled critical-path (overlapped) simulated time per shard to the
+sequential reports.
 
 :mod:`repro.service.maintenance` closes the lifecycle — the deletion
 and reclamation half an operator runs against a churning repository:
@@ -94,12 +95,9 @@ from repro.service.maintenance import (
     MaintenanceService,
 )
 from repro.service.parallel import (
-    ParallelPublisher,
     ParallelPublishReport,
-    ParallelRetriever,
     ParallelRetrieveReport,
     ShardAccount,
-    plan_shards,
 )
 from repro.service.rebase import (
     RebaseReport,
@@ -131,10 +129,8 @@ __all__ = [
     "MaintenanceReport",
     "MaintenanceService",
     "ParallelPublishReport",
-    "ParallelPublisher",
     "ImageServer",
     "ParallelRetrieveReport",
-    "ParallelRetriever",
     "RebaseReport",
     "RebaseService",
     "RemoteClient",
@@ -148,6 +144,5 @@ __all__ = [
     "dedup_aware_order",
     "namespaced",
     "parse_endpoint",
-    "plan_shards",
     "split_namespace",
 ]

@@ -1,10 +1,11 @@
 """Property: sharded execution ≡ sequential, under any shard plan.
 
-The sharded executors (:mod:`repro.service.parallel`) are pure
-*schedulers*: for any corpus, any shard count and any hypothesis-drawn
-input permutation, the repository they leave behind — the shards run
-one after another, reordering the batch — must be indistinguishable
-from the sequential pipeline's:
+:func:`~repro.service.parallel.run_shards` is a pure *scheduler*: for
+any corpus, any hypothesis-drawn input permutation and any shard plan
+that keeps each OS family on one shard (the placement rule its caller,
+the federation, guarantees), running the shards one after another
+through one repository's batch pipeline must leave a repository
+indistinguishable from the plain sequential pipeline's:
 
 * every published VMI retrieves to a **byte-identical manifest**;
 * the liveness **refcounts are identical**, before and after GC;
@@ -12,36 +13,68 @@ from the sequential pipeline's:
   (blobs, bytes by kind, refcounts);
 * **fsck is clean** at every step.
 
-The CI ``concurrency-stress`` job re-runs this suite with a higher
-example budget (``PARALLEL_PROP_EXAMPLES``) to widen the space of
-shard plans explored per run.
+Retrieval is read-only, so any split of a retrieval batch must return
+the sequential manifests at the caller's positions.
 """
-
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import Expelliarmus
 from repro.ids import content_id
+from repro.repository.federation import family_of
+from repro.service.parallel import run_shards
 
-#: per-test example budget; the CI concurrency-stress job raises it
-_EXAMPLES = int(os.environ.get("PARALLEL_PROP_EXAMPLES", "6"))
+_EXAMPLES = 6
 
 
-def _publish(corpus, indices, *, parallelism=None, order="dedup"):
+def _publish(corpus, indices):
     system = Expelliarmus()
-    report = system.publish_many(
-        [corpus.build(i) for i in indices],
-        order=order,
-        parallelism=parallelism,
-    )
+    report = system.publish_many([corpus.build(i) for i in indices])
     assert report.n_failed == 0, report.render()
     return system
 
 
+def _draw_family_plan(data, n_shards):
+    """A shard for each OS family, drawn the first time it is seen."""
+    homes = {}
+
+    def shard_of(vmi):
+        family = family_of(vmi.base.attrs)
+        if family not in homes:
+            homes[family] = data.draw(
+                st.integers(0, n_shards - 1), label=f"home {family}"
+            )
+        return homes[family]
+
+    return shard_of
+
+
+def _split(items, n_shards, shard_of):
+    shards = [[] for _ in range(n_shards)]
+    for pos, item in enumerate(items):
+        shards[shard_of(item)].append((pos, item))
+    return shards
+
+
+def _publish_sharded(corpus, indices, n_shards, shard_of):
+    system = Expelliarmus()
+    vmis = [corpus.build(i) for i in indices]
+    run = run_shards(
+        _split(vmis, n_shards, shard_of),
+        lambda _index, batch, relay: system.publish_many(
+            batch, progress=relay
+        ),
+    )
+    results = run.merged()
+    assert all(r.ok for r in results)
+    assert [r.position for r in results] == list(range(len(vmis)))
+    assert [r.name for r in results] == [v.name for v in vmis]
+    return system
+
+
 def _state_fingerprint(system) -> dict:
-    """Everything 'parallel ≡ sequential' must preserve exactly.
+    """Everything 'sharded ≡ sequential' must preserve exactly.
 
     Master revisions and mutation counts are deliberately absent: they
     encode the *schedule* (global counters drawn in execution order),
@@ -84,19 +117,21 @@ class TestParallelPublishEquivalence:
             label="published",
         )
         shuffled = data.draw(st.permutations(published), label="input")
-        parallelism = data.draw(st.integers(1, 6), label="parallelism")
+        n_shards = data.draw(st.integers(1, 6), label="n_shards")
 
         sequential = _publish(corpus, published)
-        parallel = _publish(corpus, shuffled, parallelism=parallelism)
+        sharded = _publish_sharded(
+            corpus, shuffled, n_shards, _draw_family_plan(data, n_shards)
+        )
 
-        assert _state_fingerprint(parallel) == _state_fingerprint(
+        assert _state_fingerprint(sharded) == _state_fingerprint(
             sequential
         )
         names = [corpus.spec(i).name for i in published]
-        assert _manifests(parallel, names) == _manifests(
+        assert _manifests(sharded, names) == _manifests(
             sequential, names
         )
-        assert parallel.fsck().clean
+        assert sharded.fsck().clean
 
     @settings(max_examples=_EXAMPLES, deadline=None)
     @given(data=st.data())
@@ -126,17 +161,34 @@ class TestParallelPublishEquivalence:
             ),
             label="batch",
         )
-        parallelism = data.draw(st.integers(1, 8), label="parallelism")
+        n_shards = data.draw(st.integers(1, 8), label="n_shards")
+        homes = data.draw(
+            st.lists(
+                st.integers(0, n_shards - 1),
+                min_size=len(batch),
+                max_size=len(batch),
+            ),
+            label="homes",
+        )
         order = data.draw(
             st.sampled_from(["affine", "given"]), label="order"
         )
-        report = system.retrieve_many(
-            batch, parallelism=parallelism, order=order
+        shards = [[] for _ in range(n_shards)]
+        for pos, (name, home) in enumerate(zip(batch, homes)):
+            shards[home].append((pos, name))
+        run = run_shards(
+            shards,
+            lambda _index, items, relay: system.retrieve_many(
+                items, order=order, progress=relay
+            ),
         )
+        results = run.merged()
 
-        assert report.n_failed == 0
-        assert report.n_items == len(batch)
-        for item in report.results:
+        assert [r.position for r in results] == list(range(len(batch)))
+        assert [r.name for r in results] == batch
+        assert sum(a.n_items for a in run.accounts()) == len(batch)
+        for item in results:
+            assert item.ok
             assert (
                 item.report.vmi.full_manifest() == reference[item.name]
             )
@@ -150,7 +202,7 @@ class TestParallelPublishEquivalence:
     def test_churn_after_parallel_publish_converges(
         self, scale_corpus_factory, data
     ):
-        """Publish (parallel vs sequential), delete a subset, GC: both
+        """Publish (sharded vs sequential), delete a subset, GC: both
         repositories land on the identical post-GC state."""
         corpus = scale_corpus_factory(12, n_families=3)
         published = data.draw(
@@ -159,28 +211,30 @@ class TestParallelPublishEquivalence:
             ),
             label="published",
         )
-        parallelism = data.draw(st.integers(2, 6), label="parallelism")
+        n_shards = data.draw(st.integers(2, 6), label="n_shards")
         full_gc = data.draw(st.booleans(), label="full_gc")
 
         sequential = _publish(corpus, published)
-        parallel = _publish(corpus, published, parallelism=parallelism)
+        sharded = _publish_sharded(
+            corpus, published, n_shards, _draw_family_plan(data, n_shards)
+        )
 
         names = sorted(
             (corpus.spec(i).name for i in published),
             key=lambda n: content_id(f"parallel-churn/{n}"),
         )
         victims = names[: max(1, len(names) // 3)]
-        for system in (sequential, parallel):
+        for system in (sequential, sharded):
             report = system.delete_many(victims)
             assert report.n_failed == 0
             system.garbage_collect(full=full_gc)
 
-        assert _state_fingerprint(parallel) == _state_fingerprint(
+        assert _state_fingerprint(sharded) == _state_fingerprint(
             sequential
         )
         survivors = [n for n in names if n not in victims]
-        assert _manifests(parallel, survivors) == _manifests(
+        assert _manifests(sharded, survivors) == _manifests(
             sequential, survivors
         )
-        assert parallel.fsck().clean
+        assert sharded.fsck().clean
         assert sequential.fsck().clean

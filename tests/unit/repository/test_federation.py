@@ -136,6 +136,42 @@ class TestRouting:
             fed.delete("ghost")
 
 
+class TestBatchPipelines:
+    @pytest.mark.parametrize("verb", ["publish", "delete"])
+    def test_router_resyncs_after_a_raising_batch(self, verb):
+        """Regression: a batch that raised part-way left the router
+        out of step with the shards — VMIs stored before the raise did
+        not resolve, and names deleted before it stayed routed, so
+        fsck reported index drift and a re-publish was refused."""
+        fed = FederatedRepository(shards=3)
+        names = [CORPUS.spec(i).name for i in range(20)]
+        if verb == "publish":
+            # a trailing duplicate from the first shard to run fails
+            # inside that shard's pipeline, before the others run
+            first = min(
+                range(20),
+                key=lambda i: fed.shard_for_family(_family(CORPUS.build(i))),
+            )
+            vmis = [CORPUS.build(i) for i in range(20)]
+            vmis.append(CORPUS.build(first))
+            with pytest.raises(PublishError):
+                fed.publish_many(vmis, order="given", on_error="raise")
+        else:
+            _publish_range(fed, 20)
+            with pytest.raises(NotInRepositoryError):
+                fed.delete_many(names[:10] + [names[0]], on_error="raise")
+        stored = {r.name for r in fed.vmi_records()}
+        assert stored and stored != set(names)
+        report = fed.fsck()
+        assert report.clean, [str(f) for f in report.findings]
+        for name in sorted(stored):
+            assert fed.retrieve(name).vmi.name == name
+        for i, name in enumerate(names):
+            if name not in stored:
+                fed.publish(CORPUS.build(i))
+        assert {r.name for r in fed.vmi_records()} == set(names)
+
+
 class TestDurability:
     def test_reopen_with_mismatched_shard_count_fails(self, tmp_path):
         fed = FederatedRepository.open(tmp_path / "fed", shards=3)

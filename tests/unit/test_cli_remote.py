@@ -228,10 +228,10 @@ class TestConflictRules:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["publish-many", "--scale", "2", "--parallel", "4"],
-            ["retrieve-many", "--parallel", "4"],
             ["retrieve-many", "--cold"],
             ["publish-many", "--scale", "2", "--scan"],
+            ["publish-many", "--scale", "2", "--shards", "2"],
+            ["publish-many", "--scale", "2", "--split-pct", "50"],
         ],
     )
     def test_local_execution_flags_rejected(self, remote, capsys, argv):

@@ -31,59 +31,59 @@ def payload(experiment: str, **series) -> dict:
     }
 
 
-def parallel_payload(speedup=4.0, critical=300.0) -> dict:
+def federation_payload(speedup=4.0, critical=300.0) -> dict:
     return payload(
-        "bench-parallel",
+        "bench-federation",
         **{
-            "publish-critical-path-s": [1200.0, critical],
-            "retrieve-critical-path-s": [1500.0, critical],
-            "publish-speedup": [1.0, speedup],
-            "retrieve-speedup": [1.0, speedup],
+            "critical-path-s": [1200.0, critical],
+            "throughput-rps": [0.1, 0.1 * speedup],
+            "federation-speedup": [1.0, speedup],
+            "stored-bytes-ratio": [1.0, 1.0],
         },
     )
 
 
 class TestComparePayloads:
     def test_identical_runs_pass(self):
-        base = parallel_payload()
-        assert compare_payloads(base, parallel_payload(), 0.25) == []
+        base = federation_payload()
+        assert compare_payloads(base, federation_payload(), 0.25) == []
 
     def test_improvement_passes(self):
         problems = compare_payloads(
-            parallel_payload(),
-            parallel_payload(speedup=6.0, critical=200.0),
+            federation_payload(),
+            federation_payload(speedup=6.0, critical=200.0),
             0.25,
         )
         assert problems == []
 
     def test_lower_is_better_fails_on_26_percent_increase(self):
         problems = compare_payloads(
-            parallel_payload(critical=100.0),
-            parallel_payload(critical=126.0),
+            federation_payload(critical=100.0),
+            federation_payload(critical=126.0),
             0.25,
         )
         assert any("critical-path" in p for p in problems)
 
     def test_higher_is_better_fails_on_26_percent_drop(self):
         problems = compare_payloads(
-            parallel_payload(speedup=4.0),
-            parallel_payload(speedup=4.0 * 0.74),
+            federation_payload(speedup=4.0),
+            federation_payload(speedup=4.0 * 0.74),
             0.25,
         )
         assert any("speedup" in p for p in problems)
 
     def test_within_threshold_drift_passes(self):
         problems = compare_payloads(
-            parallel_payload(speedup=4.0, critical=100.0),
-            parallel_payload(speedup=4.0 * 0.8, critical=120.0),
+            federation_payload(speedup=4.0, critical=100.0),
+            federation_payload(speedup=4.0 * 0.8, critical=120.0),
             0.25,
         )
         assert problems == []
 
     def test_missing_series_fails_loudly(self):
-        broken = parallel_payload()
-        del broken["series"]["publish-speedup"]
-        problems = compare_payloads(parallel_payload(), broken, 0.25)
+        broken = federation_payload()
+        del broken["series"]["federation-speedup"]
+        problems = compare_payloads(federation_payload(), broken, 0.25)
         assert any("missing" in p for p in problems)
 
     def test_unregistered_experiment_fails(self):
@@ -334,10 +334,10 @@ class TestCompareDirs:
 
     def test_matching_dirs_pass(self, tmp_path):
         self._write(
-            tmp_path / "base", "BENCH_parallel.json", parallel_payload()
+            tmp_path / "base", "BENCH_federation.json", federation_payload()
         )
         self._write(
-            tmp_path / "cur", "BENCH_parallel.json", parallel_payload()
+            tmp_path / "cur", "BENCH_federation.json", federation_payload()
         )
         passes, problems = compare_dirs(
             tmp_path / "base", tmp_path / "cur", 0.25
@@ -347,7 +347,7 @@ class TestCompareDirs:
 
     def test_missing_current_file_fails(self, tmp_path):
         self._write(
-            tmp_path / "base", "BENCH_parallel.json", parallel_payload()
+            tmp_path / "base", "BENCH_federation.json", federation_payload()
         )
         (tmp_path / "cur").mkdir()
         _, problems = compare_dirs(
@@ -371,10 +371,10 @@ class TestCompareDirs:
     ):
         """The acceptance demonstration: a hand-degraded baseline
         metric (+40% demanded speedup) flips the gate to failure."""
-        base = parallel_payload(speedup=4.0 * degrade)
-        self._write(tmp_path / "base", "BENCH_parallel.json", base)
+        base = federation_payload(speedup=4.0 * degrade)
+        self._write(tmp_path / "base", "BENCH_federation.json", base)
         self._write(
-            tmp_path / "cur", "BENCH_parallel.json", parallel_payload()
+            tmp_path / "cur", "BENCH_federation.json", federation_payload()
         )
         code = main(
             [
